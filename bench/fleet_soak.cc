@@ -255,7 +255,7 @@ scalePhase(const Cli &cli, BenchJson &json)
     addSubsystemMetrics(json, report);
     json.metric("slo_ok", slos ? 1 : 0);
 
-    std::printf("%s", FleetSoak::procText().c_str());
+    std::printf("%s", soak.procText().c_str());
 }
 
 void

@@ -1287,15 +1287,4 @@ TranslationCache::dump() const
     return out;
 }
 
-kernel::SyscallResult
-JitStatsDevice::read(kernel::Thread &, Bytes &out, std::size_t n)
-{
-    std::string text = cache_.dump();
-    std::size_t take = std::min(n, text.size());
-    out.assign(text.begin(),
-               text.begin() + static_cast<std::ptrdiff_t>(take));
-    return kernel::SyscallResult::success(
-        static_cast<std::int64_t>(take));
-}
-
 } // namespace cider::android

@@ -59,7 +59,6 @@
 
 #include "android/dalvik.h"
 #include "binfmt/dex.h"
-#include "kernel/device.h"
 #include "kernel/types.h"
 
 namespace cider::android {
@@ -264,25 +263,6 @@ class DexJit
     static DexVal execute(DalvikVm &vm, const binfmt::DexFile &file,
                           MethodEntry &entry, std::vector<DexVal> &args,
                           int depth);
-};
-
-/**
- * Kernel device node exposing translation-cache statistics at
- * /proc/cider/jit. Reads are single-shot, like the other /proc/cider
- * nodes.
- */
-class JitStatsDevice : public kernel::Device
-{
-  public:
-    explicit JitStatsDevice(const TranslationCache &cache)
-        : kernel::Device("jit", "proc"), cache_(cache)
-    {}
-
-    kernel::SyscallResult read(kernel::Thread &t, Bytes &out,
-                               std::size_t n) override;
-
-  private:
-    const TranslationCache &cache_;
 };
 
 } // namespace cider::android

@@ -22,6 +22,7 @@ SurfaceFlinger::createLayer(const std::string &owner, std::uint32_t width,
     layer.id = nextLayerId_++;
     layer.owner = owner;
     layer.bufferId = buf->id;
+    layer.ownBufferId = buf->id;
     layer.z = z;
     layers_[layer.id] = layer;
     return layer.id;
@@ -43,8 +44,16 @@ SurfaceFlinger::setLayerBuffer(int layer_id, std::uint32_t buffer_id)
 void
 SurfaceFlinger::removeLayer(int layer_id)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    layers_.erase(layer_id);
+    std::uint32_t own = 0;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = layers_.find(layer_id);
+        if (it == layers_.end())
+            return;
+        own = it->second.ownBufferId;
+        layers_.erase(it);
+    }
+    gpu_.buffers().destroy(own);
 }
 
 void

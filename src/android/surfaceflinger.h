@@ -31,6 +31,9 @@ class SurfaceFlinger
         int id = 0;
         std::string owner;
         std::uint32_t bufferId = 0;
+        /** The window memory createLayer allocated, destroyed with the
+         *  layer even after a client buffer replaced it. */
+        std::uint32_t ownBufferId = 0;
         int z = 0;
         bool visible = true;
         bool dirty = false;
@@ -45,6 +48,8 @@ class SurfaceFlinger
     /** Attach client-allocated memory (an IOSurface) to a layer. */
     bool setLayerBuffer(int layer_id, std::uint32_t buffer_id);
 
+    /** Remove a layer and destroy its own window memory. A client
+     *  buffer attached with setLayerBuffer stays alive. */
     void removeLayer(int layer_id);
     void setVisible(int layer_id, bool visible);
 

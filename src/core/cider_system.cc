@@ -225,10 +225,10 @@ CiderSystem::setupCiderExtensions()
                               *ioCatalogue_);
 
     // /proc/cider/iokit: the registry tree + matching statistics.
-    kernel::Device &iodev = kernel_->devices().add(
-        std::make_unique<iokit::IoKitStatsDevice>(*ioRegistry_,
-                                                  *ioCatalogue_));
-    kernel_->vfs().mknod("/proc/cider/iokit", &iodev);
+    kernel_->addProcNode("iokit", [&registry = *ioRegistry_,
+                                   &catalogue = *ioCatalogue_] {
+        return iokit::dumpIoKit(registry, catalogue);
+    });
 }
 
 void
@@ -243,9 +243,8 @@ CiderSystem::setupAndroidUserSpace()
     // exec replaces it or the process exits (unload).
     jitCache_ = std::make_unique<android::TranslationCache>();
     dalvik_->setTranslationCache(jitCache_.get());
-    kernel::Device &jitDev = kernel_->devices().add(
-        std::make_unique<android::JitStatsDevice>(*jitCache_));
-    kernel_->vfs().mknod("/proc/cider/jit", &jitDev);
+    kernel_->addProcNode("jit",
+                         [&cache = *jitCache_] { return cache.dump(); });
     kernel_->addExecHook([this](kernel::Process &) {
         jitCache_->invalidateAll("exec");
     });

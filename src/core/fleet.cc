@@ -30,6 +30,18 @@
 #include "xnu/mach_traps.h"
 
 namespace cider::core {
+
+/**
+ * The latest report published on one kernel. That kernel's
+ * /proc/cider/fleet node and every FleetSoak on it share the board,
+ * so a report outlives the soak that published it.
+ */
+struct FleetBoard
+{
+    std::mutex mu;
+    std::string text;
+};
+
 namespace {
 
 using kernel::FaultRail;
@@ -109,24 +121,6 @@ transientKr(std::int64_t kr)
            kr == xnu::MACH_SEND_NO_BUFFER;
 }
 
-/// @{ The /proc/cider/fleet hub. Leaky function-local singletons: the
-/// node may be read during static destruction of a test binary, after
-/// any non-leaky global would already be gone.
-std::mutex &
-hubMu()
-{
-    static std::mutex *mu = new std::mutex;
-    return *mu;
-}
-
-std::string &
-hubText()
-{
-    static std::string *text = new std::string;
-    return *text;
-}
-/// @}
-
 /**
  * RAII diplomatic persona switch: Mach traps only dispatch from the
  * iOS persona, so Android sessions (and the rail guests) hop personas
@@ -162,24 +156,18 @@ class PersonaGuard
     bool switched_;
 };
 
-class FleetDevice : public kernel::Device
+/** The fleet node's render function. A named type, so a later
+ *  FleetSoak on the same kernel finds the board through the node. */
+struct FleetNodeText
 {
-  public:
-    FleetDevice() : Device("fleet", "proc") {}
+    std::shared_ptr<FleetBoard> board;
 
-    SyscallResult
-    read(Thread &, Bytes &out, std::size_t n) override
+    std::string
+    operator()() const
     {
-        std::string text;
-        {
-            std::lock_guard<std::mutex> lock(hubMu());
-            text = hubText();
-        }
-        if (text.empty())
-            text = "fleet: no soak has published yet\n";
-        std::size_t len = std::min(n, text.size());
-        out.assign(text.begin(), text.begin() + static_cast<long>(len));
-        return SyscallResult::success(static_cast<std::int64_t>(len));
+        std::lock_guard<std::mutex> lock(board->mu);
+        return board->text.empty() ? "fleet: no soak has published yet\n"
+                                   : board->text;
     }
 };
 
@@ -1476,6 +1464,7 @@ takeLeakSnapshot(CiderSystem &sys)
     kernel::NetStats net = sys.kernel().net().stats();
     snap.netSocketsLive = net.socketsLive;
     snap.netBufferedBytes = net.bufferedBytes;
+    snap.gpuBuffersLive = sys.gpu().buffers().liveCount();
     return snap;
 }
 
@@ -1504,6 +1493,7 @@ leakAuditClean(const LeakSnapshot &before, const LeakSnapshot &after,
     drift("netSockets", before.netSocketsLive, after.netSocketsLive);
     drift("netBufferedBytes", before.netBufferedBytes,
           after.netBufferedBytes);
+    drift("gpuBuffers", before.gpuBuffersLive, after.gpuBuffersLive);
     if (why)
         *why = detail;
     return detail.empty();
@@ -1601,11 +1591,13 @@ FleetSoak::FleetSoak(CiderSystem &sys, const FleetOptions &opts)
     : sys_(sys), opts_(opts)
 {
     kernel::Kernel &k = sys.kernel();
-    if (!k.devices().find("fleet")) {
-        kernel::Device &dev =
-            k.devices().add(std::make_unique<FleetDevice>());
-        k.vfs().mknod("/proc/cider/fleet", &dev);
+    if (auto *node =
+            dynamic_cast<kernel::ProcNode *>(k.devices().find("fleet"))) {
+        board_ = node->render().target<FleetNodeText>()->board;
+        return;
     }
+    board_ = std::make_shared<FleetBoard>();
+    k.addProcNode("fleet", FleetNodeText{board_});
 }
 
 FleetReport
@@ -1627,18 +1619,18 @@ FleetSoak::runRailed(std::uint64_t seed, std::size_t n)
 }
 
 std::string
-FleetSoak::procText()
+FleetSoak::procText() const
 {
-    std::lock_guard<std::mutex> lock(hubMu());
-    return hubText();
+    std::lock_guard<std::mutex> lock(board_->mu);
+    return board_->text;
 }
 
 void
 FleetSoak::publish(const FleetReport &report, const char *mode)
 {
     std::string text = buildReportText(report, mode);
-    std::lock_guard<std::mutex> lock(hubMu());
-    hubText() = text;
+    std::lock_guard<std::mutex> lock(board_->mu);
+    board_->text = std::move(text);
 }
 
 } // namespace cider::core

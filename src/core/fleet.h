@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -112,6 +113,7 @@ struct LeakSnapshot
     std::size_t blockedWaits = 0; ///< waits parked > 250ms host time
     std::uint64_t netSocketsLive = 0;   ///< bound/connected AF_INET
     std::uint64_t netBufferedBytes = 0; ///< bytes in socket buffers
+    std::size_t gpuBuffersLive = 0; ///< gralloc/IOSurface buffers
 };
 
 LeakSnapshot takeLeakSnapshot(CiderSystem &sys);
@@ -200,6 +202,8 @@ bool evaluateSlos(const FleetReport &report,
                   const std::vector<SloGate> &gates,
                   std::vector<std::string> *violations);
 
+struct FleetBoard;
+
 class FleetSoak
 {
   public:
@@ -219,14 +223,16 @@ class FleetSoak
 
     const FleetOptions &options() const { return opts_; }
 
-    /** Text behind /proc/cider/fleet (latest published report). */
-    static std::string procText();
+    /** The latest report published on this kernel's /proc/cider/fleet
+     *  by any FleetSoak; empty before the first. */
+    std::string procText() const;
 
   private:
     void publish(const FleetReport &report, const char *mode);
 
     CiderSystem &sys_;
     FleetOptions opts_;
+    std::shared_ptr<FleetBoard> board_; ///< shared with the fleet node
 };
 
 } // namespace cider::core

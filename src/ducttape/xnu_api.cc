@@ -189,7 +189,6 @@ struct ZoneT
     std::atomic<std::uint64_t> magDrains{0};
     /// @}
     std::atomic<std::int64_t> failAfter{-1};
-    std::atomic<bool> caching{true};
 
     /** Depot: the global free-list plus its backing slabs. */
     mutable std::mutex mu;
@@ -359,9 +358,9 @@ void *
 zalloc(ZoneT *z)
 {
     charge(kZallocNs);
-    // Both injection paths run before the allocs increment, so the
-    // logical allocation index they key on is identical whether the
-    // zone is slab-cached or in legacy one-heap-call-per-element mode.
+    // Both injection paths run before the allocs increment, so they
+    // key on the logical allocation index whichever free-list (CPU
+    // magazine or depot) would have served the element.
     std::int64_t fail_after = z->failAfter.load(std::memory_order_relaxed);
     if (fail_after >= 0 &&
         static_cast<std::int64_t>(
@@ -372,16 +371,6 @@ zalloc(ZoneT *z)
     if (CIDER_FAULT_POINT("zone.alloc")) {
         z->failed.fetch_add(1, std::memory_order_relaxed);
         return nullptr;
-    }
-    if (!z->caching.load(std::memory_order_relaxed)) {
-        void *elem = std::malloc(z->elemSize);
-        if (!elem) {
-            z->failed.fetch_add(1, std::memory_order_relaxed);
-            return nullptr;
-        }
-        z->allocs.fetch_add(1, std::memory_order_relaxed);
-        z->live.fetch_add(1, std::memory_order_relaxed);
-        return elem;
     }
     int cpu = kernel::PerCpu::currentCpu();
     if (cpu >= 0) {
@@ -441,10 +430,6 @@ zfree(ZoneT *z, void *elem)
         cider_panic("zfree underflow in zone ", z->name);
     z->frees.fetch_add(1, std::memory_order_relaxed);
     z->live.fetch_sub(1, std::memory_order_relaxed);
-    if (!z->caching.load(std::memory_order_relaxed)) {
-        std::free(elem);
-        return;
-    }
     int cpu = kernel::PerCpu::currentCpu();
     if (cpu >= 0) {
         ZoneT::Magazine &mag = z->mags[static_cast<std::size_t>(cpu)];
@@ -500,21 +485,6 @@ void
 zone_set_fail_after(ZoneT *z, std::int64_t n)
 {
     z->failAfter.store(n, std::memory_order_relaxed);
-}
-
-void
-zone_set_caching(ZoneT *z, bool enabled)
-{
-    if (z->caching.load(std::memory_order_relaxed) == enabled)
-        return;
-    if (z->live.load(std::memory_order_relaxed) != 0)
-        // invariant-only: kernel-internal misuse
-        cider_panic("zone_set_caching with live elements in zone ",
-                    z->name);
-    // Return magazine contents to the depot so the toggle leaves no
-    // cached elements behind in per-CPU state.
-    zone_drain_cpu_caches(z);
-    z->caching.store(enabled, std::memory_order_relaxed);
 }
 
 void

@@ -113,14 +113,6 @@ void zone_registry_each(
 void zone_set_fail_after(ZoneT *z, std::int64_t n);
 
 /**
- * Toggle free-list caching (on by default). With caching off the zone
- * degrades to one domestic heap allocation per element — the legacy
- * behaviour, kept as the A/B baseline for the hot-path benches. Only
- * legal while the zone has no live elements.
- */
-void zone_set_caching(ZoneT *z, bool enabled);
-
-/**
  * Push every per-CPU magazine's elements back to the depot free-list
  * (XNU's zone_gc over one zone). Used by tests asserting depot
  * accounting and by memory-pressure paths.

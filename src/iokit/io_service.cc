@@ -220,30 +220,25 @@ dumpEntry(const IORegistryEntry &entry, int depth, std::ostringstream &os)
 
 } // namespace
 
-kernel::SyscallResult
-IoKitStatsDevice::read(kernel::Thread &t, Bytes &out, std::size_t n)
+std::string
+dumpIoKit(const IORegistry &registry, const IOCatalogue &catalogue)
 {
-    (void)t;
     std::ostringstream os;
-    os << "iokit registry (" << registry_.entryCount() << " entries)\n";
-    dumpEntry(registry_.root(), 0, os);
-    os << "services " << catalogue_.services().size() << "\n";
-    for (const IOService *svc : catalogue_.services())
+    os << "iokit registry (" << registry.entryCount() << " entries)\n";
+    dumpEntry(registry.root(), 0, os);
+    os << "services " << catalogue.services().size() << "\n";
+    for (const IOService *svc : catalogue.services())
         os << "  service " << svc->entryName() << " provider="
            << (svc->provider() ? svc->provider()->entryName() : "-")
            << " score=" << svc->probeScore() << "\n";
-    os << "personalities " << catalogue_.personalities().size() << "\n";
-    for (const auto &p : catalogue_.personalities())
+    os << "personalities " << catalogue.personalities().size() << "\n";
+    for (const auto &p : catalogue.personalities())
         os << "  personality " << p.className << " score=" << p.probeScore
            << " probes=" << p.probes
            << " probe_failures=" << p.probeFailures
            << " start_failures=" << p.startFailures << " wins=" << p.wins
            << "\n";
-    std::string text = os.str();
-    std::size_t take = std::min(n, text.size());
-    out.assign(text.begin(), text.begin() + static_cast<long>(take));
-    return kernel::SyscallResult::success(
-        static_cast<std::int64_t>(take));
+    return os.str();
 }
 
 } // namespace cider::iokit

@@ -167,23 +167,10 @@ struct IoConnectArgs
 void registerIoKitTraps(kernel::SyscallTable &mach_table,
                         IORegistry &registry, IOCatalogue &catalogue);
 
-/** /proc/cider/iokit: registry tree, services, personality stats. */
-class IoKitStatsDevice : public kernel::Device
-{
-  public:
-    IoKitStatsDevice(const IORegistry &registry,
-                     const IOCatalogue &catalogue)
-        : Device("iokit", "proc"), registry_(registry),
-          catalogue_(catalogue)
-    {}
-
-    kernel::SyscallResult read(kernel::Thread &t, Bytes &out,
-                               std::size_t n) override;
-
-  private:
-    const IORegistry &registry_;
-    const IOCatalogue &catalogue_;
-};
+/** Text of /proc/cider/iokit: registry tree, services, personality
+ *  stats. */
+std::string dumpIoKit(const IORegistry &registry,
+                      const IOCatalogue &catalogue);
 
 } // namespace cider::iokit
 

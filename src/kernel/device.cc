@@ -1,5 +1,7 @@
 #include "kernel/device.h"
 
+#include <algorithm>
+
 namespace cider::kernel {
 
 void
@@ -31,6 +33,16 @@ SyscallResult
 Device::write(Thread &, const Bytes &)
 {
     return SyscallResult::failure(lnx::INVAL);
+}
+
+SyscallResult
+ProcNode::read(Thread &, Bytes &out, std::size_t n)
+{
+    std::string text = render_();
+    std::size_t take = std::min(n, text.size());
+    out.assign(text.begin(),
+               text.begin() + static_cast<std::ptrdiff_t>(take));
+    return SyscallResult::success(static_cast<std::int64_t>(take));
 }
 
 SyscallResult

@@ -55,6 +55,29 @@ class Device
     std::map<std::string, std::string> props_;
 };
 
+/**
+ * A /proc text node (class "proc"), such as /proc/cider/trapstats.
+ * Every read() renders a fresh text and returns up to @p n bytes of
+ * it: procfs-style generated content, single-shot, so a short read
+ * sees the text's first @p n bytes.
+ */
+class ProcNode : public Device
+{
+  public:
+    using Render = std::function<std::string()>;
+
+    ProcNode(std::string name, Render render)
+        : Device(std::move(name), "proc"), render_(std::move(render))
+    {}
+
+    SyscallResult read(Thread &t, Bytes &out, std::size_t n) override;
+
+    const Render &render() const { return render_; }
+
+  private:
+    Render render_;
+};
+
 /** Open-file wrapper exposing a device through a descriptor. */
 class DeviceFile : public OpenFile
 {

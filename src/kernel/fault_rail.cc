@@ -342,14 +342,4 @@ FaultRail::dump() const
     return out;
 }
 
-SyscallResult
-FaultRailDevice::read(Thread &, Bytes &out, std::size_t n)
-{
-    std::string text = rail_.dump();
-    std::size_t take = std::min(n, text.size());
-    out.assign(text.begin(),
-               text.begin() + static_cast<std::ptrdiff_t>(take));
-    return SyscallResult::success(static_cast<std::int64_t>(take));
-}
-
 } // namespace cider::kernel

@@ -51,7 +51,6 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "kernel/device.h"
 #include "kernel/types.h"
 
 namespace cider::kernel {
@@ -199,23 +198,6 @@ class FaultRail
         return ::cider::kernel::FaultRail::global().shouldFail(             \
             cider_fs_id);                                                   \
     }())
-
-/**
- * Kernel device node exposing the fault table at /proc/cider/faults.
- * Reads are single-shot, like /proc/cider/trapstats.
- */
-class FaultRailDevice : public Device
-{
-  public:
-    explicit FaultRailDevice(const FaultRail &rail)
-        : Device("faults", "proc"), rail_(rail)
-    {}
-
-    SyscallResult read(Thread &t, Bytes &out, std::size_t n) override;
-
-  private:
-    const FaultRail &rail_;
-};
 
 } // namespace cider::kernel
 

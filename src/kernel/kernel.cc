@@ -228,26 +228,24 @@ Kernel::Kernel(const hw::DeviceProfile &profile)
 
     trapStats_.attachTable(linuxTable_);
     vfs_.mkdirAll("/proc/cider");
-    Device &dump =
-        devices_.add(std::make_unique<TrapStatsDevice>(trapStats_));
-    vfs_.mknod("/proc/cider/trapstats", &dump);
-    Device &faults =
-        devices_.add(std::make_unique<FaultRailDevice>(FaultRail::global()));
-    vfs_.mknod("/proc/cider/faults", &faults);
-    Device &lockorder = devices_.add(
-        std::make_unique<SchedRailDevice>(SchedRail::global()));
-    vfs_.mknod("/proc/cider/lockorder", &lockorder);
-    Device &percpu =
-        devices_.add(std::make_unique<PerCpuDevice>(percpu_));
-    vfs_.mknod("/proc/cider/percpu", &percpu);
-    Device &vmdev = devices_.add(std::make_unique<VmDevice>(*this));
-    vfs_.mknod("/proc/cider/vm", &vmdev);
-    Device &netdev =
-        devices_.add(std::make_unique<NetStackDevice>(net_));
-    vfs_.mknod("/proc/cider/net", &netdev);
+    addProcNode("trapstats", [this] { return trapStats_.dump(); });
+    addProcNode("faults", [] { return FaultRail::global().dump(); });
+    addProcNode("lockorder",
+                [] { return SchedRail::global().lockGraph().dump(); });
+    addProcNode("percpu", [this] { return percpu_.dump(); });
+    addProcNode("vm", [this] { return dumpVm(*this); });
+    addProcNode("net", [this] { return net_.dump(); });
 }
 
 Kernel::~Kernel() = default;
+
+void
+Kernel::addProcNode(const std::string &name, ProcNode::Render render)
+{
+    Device &node =
+        devices_.add(std::make_unique<ProcNode>(name, std::move(render)));
+    vfs_.mknod("/proc/cider/" + name, &node);
+}
 
 Process &
 Kernel::createProcess(const std::string &name, Persona persona,
@@ -844,13 +842,13 @@ Kernel::sysFork(Thread &t, EntryFn child_body, bool run_now)
     // space itself is duplicated by VmMap::forkFrom, which charges the
     // write-protect sweep over the private entries — dominated by
     // dyld's ~90 MB of dylib mappings when an iOS binary forks
-    // (Figure 5, fork+exit). COW by default; the eager lever restores
-    // the full content copy as the A/B baseline.
+    // (Figure 5, fork+exit). Always copy-on-write: content copies are
+    // deferred to first-write faults.
     charge(profile_.cyclesToNs(260000));
 
     Process &child =
         createProcess(parent.name() + ":child", t.persona(), &parent);
-    child.mem().forkFrom(parent.mem(), eagerForkCopy_);
+    child.mem().forkFrom(parent.mem(), /*eager=*/false);
     child.fds() = parent.fds().cloneForFork();
     child.signals() = parent.signals();
     child.image() = parent.image();

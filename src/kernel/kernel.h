@@ -180,6 +180,9 @@ class Kernel
     const hw::DeviceProfile &profile() const { return profile_; }
     Vfs &vfs() { return vfs_; }
     DeviceRegistry &devices() { return devices_; }
+    /** Register a ProcNode named @p name and link it in at
+     *  /proc/cider/<name>. */
+    void addProcNode(const std::string &name, ProcNode::Render render);
     UnixSocketRegistry &unixSockets() { return unixRegistry_; }
     /** The AF_INET stack (TCP-lite/UDP-lite over I/O Kit NICs). */
     NetStack &net() { return net_; }
@@ -217,14 +220,6 @@ class Kernel
     /** System-wide VM state: shared regions, cost tables, counters. */
     VmSubsystem &vm() { return *vm_; }
     const VmSubsystem &vm() const { return *vm_; }
-    /**
-     * A/B lever for the fork cost model: true restores the pre-VM
-     * eager behaviour (fork copies page tables AND resident content);
-     * false (default) forks copy-on-write, deferring content copies
-     * to first-write faults.
-     */
-    void setEagerForkCopy(bool on) { eagerForkCopy_ = on; }
-    bool eagerForkCopy() const { return eagerForkCopy_; }
     /// @}
 
     /** The simulated machine's CPU array (profile.cpuCores slots). */
@@ -416,7 +411,6 @@ class Kernel
     std::map<Pid, std::unique_ptr<Process>> processes_;
     Pid nextPid_ = 1;
     bool oomKillEnabled_ = false;
-    bool eagerForkCopy_ = false;
 };
 
 } // namespace cider::kernel

@@ -1120,17 +1120,4 @@ std::string NetStack::dump() const
     return os.str();
 }
 
-// ---------------------------------------------------------------------------
-// /proc/cider/net
-// ---------------------------------------------------------------------------
-
-SyscallResult NetStackDevice::read(Thread &t, Bytes &out, std::size_t n)
-{
-    (void)t;
-    std::string text = stack_.dump();
-    std::size_t take = std::min(n, text.size());
-    out.assign(text.begin(), text.begin() + static_cast<long>(take));
-    return SyscallResult::success(static_cast<std::int64_t>(take));
-}
-
 } // namespace cider::kernel

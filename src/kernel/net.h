@@ -39,7 +39,6 @@
 #include <tuple>
 #include <vector>
 
-#include "kernel/device.h"
 #include "kernel/file.h"
 
 namespace cider::hw {
@@ -397,20 +396,6 @@ class NetStack
     std::atomic<std::uint64_t> dupSegments_{0};
     std::atomic<std::uint64_t> oooQueued_{0};
     std::atomic<std::uint64_t> dgramDrops_{0};
-};
-
-/** /proc/cider/net: live sockets, tables, and counters. */
-class NetStackDevice : public Device
-{
-  public:
-    explicit NetStackDevice(const NetStack &stack)
-        : Device("net", "proc"), stack_(stack)
-    {}
-
-    SyscallResult read(Thread &t, Bytes &out, std::size_t n) override;
-
-  private:
-    const NetStack &stack_;
 };
 
 } // namespace cider::kernel

@@ -314,14 +314,4 @@ ExecutorPool::runAll()
     return epoch;
 }
 
-SyscallResult
-PerCpuDevice::read(Thread &, Bytes &out, std::size_t n)
-{
-    std::string text = cpus_.dump();
-    std::size_t take = std::min(n, text.size());
-    out.assign(text.begin(),
-               text.begin() + static_cast<std::ptrdiff_t>(take));
-    return SyscallResult::success(static_cast<std::int64_t>(take));
-}
-
 } // namespace cider::kernel

@@ -56,7 +56,7 @@
 #include <thread>
 #include <vector>
 
-#include "kernel/device.h"
+#include "kernel/types.h"
 
 namespace cider::kernel {
 
@@ -267,24 +267,6 @@ class ExecutorPool
     };
     std::vector<std::unique_ptr<Shard>> shards_;
     std::uint64_t queued_ = 0;
-};
-
-/**
- * Kernel device node exposing the per-CPU state at
- * /proc/cider/percpu. Reads are single-shot, like the other
- * /proc/cider nodes.
- */
-class PerCpuDevice : public Device
-{
-  public:
-    explicit PerCpuDevice(const PerCpu &cpus)
-        : Device("percpu", "proc"), cpus_(cpus)
-    {}
-
-    SyscallResult read(Thread &t, Bytes &out, std::size_t n) override;
-
-  private:
-    const PerCpu &cpus_;
 };
 
 } // namespace cider::kernel

@@ -710,17 +710,4 @@ exploreSchedules(SchedRail &rail, const std::function<void()> &setup,
     return res;
 }
 
-// ---------------------------------------------------------------------------
-// /proc/cider/lockorder
-
-SyscallResult
-SchedRailDevice::read(Thread &, Bytes &out, std::size_t n)
-{
-    std::string text = rail_.lockGraph().dump();
-    std::size_t take = std::min(n, text.size());
-    out.assign(text.begin(),
-               text.begin() + static_cast<std::ptrdiff_t>(take));
-    return SyscallResult::success(static_cast<std::int64_t>(take));
-}
-
 } // namespace cider::kernel

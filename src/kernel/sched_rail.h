@@ -73,7 +73,6 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "kernel/device.h"
 
 namespace cider::kernel {
 
@@ -327,24 +326,6 @@ ExploreResult exploreSchedules(SchedRail &rail,
                                const std::function<bool()> &episode_ok,
                                const ExploreOptions &opt = {});
 /// @}
-
-/**
- * Kernel device node exposing the lock-order graph at
- * /proc/cider/lockorder. Reads are single-shot, like
- * /proc/cider/trapstats and /proc/cider/faults.
- */
-class SchedRailDevice : public Device
-{
-  public:
-    explicit SchedRailDevice(const SchedRail &rail)
-        : Device("lockorder", "proc"), rail_(rail)
-    {}
-
-    SyscallResult read(Thread &t, Bytes &out, std::size_t n) override;
-
-  private:
-    const SchedRail &rail_;
-};
 
 } // namespace cider::kernel
 

@@ -356,14 +356,4 @@ TrapStats::reset()
     tracer_.reset();
 }
 
-SyscallResult
-TrapStatsDevice::read(Thread &, Bytes &out, std::size_t n)
-{
-    std::string text = stats_.dump();
-    std::size_t take = std::min(n, text.size());
-    out.assign(text.begin(),
-               text.begin() + static_cast<std::ptrdiff_t>(take));
-    return SyscallResult::success(static_cast<std::int64_t>(take));
-}
-
 } // namespace cider::kernel

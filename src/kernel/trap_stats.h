@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "kernel/device.h"
 #include "kernel/types.h"
 
 namespace cider::kernel {
@@ -236,24 +235,6 @@ class TrapStats
     std::atomic<std::uint64_t> noReturnTraps_{0};
     std::atomic<std::uint64_t> badArgTraps_{0};
     std::atomic<std::uint64_t> oomKills_{0};
-};
-
-/**
- * Kernel device node exposing the stats dump at /proc/cider/trapstats.
- * Reads are single-shot: each read() returns up to @p n bytes of a
- * freshly formatted dump (procfs-style generated content).
- */
-class TrapStatsDevice : public Device
-{
-  public:
-    explicit TrapStatsDevice(const TrapStats &stats)
-        : Device("trapstats", "proc"), stats_(stats)
-    {}
-
-    SyscallResult read(Thread &t, Bytes &out, std::size_t n) override;
-
-  private:
-    const TrapStats &stats_;
 };
 
 } // namespace cider::kernel

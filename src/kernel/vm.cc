@@ -540,17 +540,13 @@ VmMap::entriesSnapshot() const
 }
 
 // ---------------------------------------------------------------------------
-// VmDevice
+// /proc/cider/vm
 
-VmDevice::VmDevice(Kernel &kernel)
-    : Device("vm", "proc"), kernel_(kernel)
-{}
-
-SyscallResult
-VmDevice::read(Thread &, Bytes &out, std::size_t n)
+std::string
+dumpVm(Kernel &kernel)
 {
     std::ostringstream os;
-    VmStats s = kernel_.vm().statsSnapshot();
+    VmStats s = kernel.vm().statsSnapshot();
     os << "vm objects_created=" << s.objectsCreated
        << " cow_faults=" << s.cowFaults
        << " broken_pages=" << s.brokenPages
@@ -560,7 +556,7 @@ VmDevice::read(Thread &, Bytes &out, std::size_t n)
        << " promoted_bodies=" << s.oolPromotedBodies
        << " inline_bodies=" << s.inlineBodies << "\n";
 
-    kernel_.forEachProcess([&os](Process &p) {
+    kernel.forEachProcess([&os](Process &p) {
         os << "pid " << p.pid() << " (" << p.name()
            << "): " << p.mem().entryCount() << " entries, "
            << p.mem().pages() << " pages ("
@@ -576,12 +572,7 @@ VmDevice::read(Thread &, Bytes &out, std::size_t n)
             os << "\n";
         }
     });
-
-    std::string text = os.str();
-    std::size_t take = std::min(n, text.size());
-    out.assign(text.begin(),
-               text.begin() + static_cast<std::ptrdiff_t>(take));
-    return SyscallResult::success(static_cast<std::int64_t>(take));
+    return os.str();
 }
 
 } // namespace cider::kernel

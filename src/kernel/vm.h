@@ -49,7 +49,6 @@
 
 #include "base/bytes.h"
 #include "hw/device_profile.h"
-#include "kernel/device.h"
 
 namespace cider::kernel {
 
@@ -323,17 +322,8 @@ class VmMap
     std::uint64_t nextBase_ = 0x100000000ull;
 };
 
-/** /proc/cider/vm: per-process entry tables + system counters. */
-class VmDevice : public Device
-{
-  public:
-    explicit VmDevice(Kernel &kernel);
-
-    SyscallResult read(Thread &t, Bytes &out, std::size_t n) override;
-
-  private:
-    Kernel &kernel_;
-};
+/** Text of /proc/cider/vm: system counters + per-process entry tables. */
+std::string dumpVm(Kernel &kernel);
 
 } // namespace cider::kernel
 

@@ -200,31 +200,6 @@ TEST(XnuApi, ZoneFreeListStressWithFailureInjection)
     zdestroy(zone);
 }
 
-TEST(XnuApi, ZoneLegacyModeMatchesFreeListSemantics)
-{
-    // zone_set_caching(false) must be observationally identical —
-    // same stats, same failAfter behaviour — just slower.
-    for (bool caching : {true, false}) {
-        ZoneT *zone = zinit(96, "test.mode");
-        zone_set_caching(zone, caching);
-        void *a = zalloc(zone);
-        void *b = zalloc(zone);
-        ASSERT_NE(a, nullptr);
-        ASSERT_NE(b, nullptr);
-        zone_set_fail_after(zone, 2);
-        EXPECT_EQ(zalloc(zone), nullptr);
-        zone_set_fail_after(zone, -1);
-        zfree(zone, a);
-        zfree(zone, b);
-        ZoneStats st = zone_stats(zone);
-        EXPECT_EQ(st.allocs, 2u);
-        EXPECT_EQ(st.frees, 2u);
-        EXPECT_EQ(st.failed, 1u);
-        EXPECT_EQ(st.live, 0u);
-        zdestroy(zone);
-    }
-}
-
 TEST(XnuApi, LockAndWaitqBlockUntilPredicate)
 {
     LckMtx *mtx = lck_mtx_alloc_init();

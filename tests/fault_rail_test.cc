@@ -196,63 +196,6 @@ TEST_F(FaultRailTest, KallocSiteInjects)
     ducttape::xnu_kfree(p, 128);
 }
 
-/**
- * failAfter parity: the legacy zone_set_fail_after and the fault site
- * both key off the logical allocation index, which must not depend on
- * whether the zone's free-list cache is on. (Both checks run before
- * the alloc counter bumps, in both modes.)
- */
-TEST_F(FaultRailTest, FailAfterFiresOnSameLogicalIndexInBothCacheModes)
-{
-    auto indexOfFirstFailure = [](bool cached) -> int {
-        ducttape::ZoneT *z = ducttape::zinit(32, "fault.parity.zone");
-        ducttape::zone_set_caching(z, cached);
-        ducttape::zone_set_fail_after(z, 5);
-        int failed_at = -1;
-        std::vector<void *> live;
-        for (int i = 0; i < 10; ++i) {
-            void *p = ducttape::zalloc(z);
-            if (!p && failed_at < 0)
-                failed_at = i;
-            if (p)
-                live.push_back(p);
-        }
-        for (void *p : live)
-            ducttape::zfree(z, p);
-        ducttape::zdestroy(z);
-        return failed_at;
-    };
-    int cached = indexOfFirstFailure(true);
-    int uncached = indexOfFirstFailure(false);
-    EXPECT_EQ(cached, uncached);
-    EXPECT_EQ(cached, 5); // allocations 0..4 succeed, the 6th fails
-}
-
-TEST_F(FaultRailTest, FaultSiteParityAcrossCacheModes)
-{
-    auto indexOfFirstFailure = [this](bool cached) -> int {
-        ducttape::ZoneT *z = ducttape::zinit(32, "fault.parity2.zone");
-        ducttape::zone_set_caching(z, cached);
-        rail_.armNth("zone.alloc", 4);
-        int failed_at = -1;
-        std::vector<void *> live;
-        for (int i = 0; i < 8; ++i) {
-            void *p = ducttape::zalloc(z);
-            if (!p && failed_at < 0)
-                failed_at = i;
-            if (p)
-                live.push_back(p);
-        }
-        rail_.disarm("zone.alloc");
-        rail_.resetCounters();
-        for (void *p : live)
-            ducttape::zfree(z, p);
-        ducttape::zdestroy(z);
-        return failed_at;
-    };
-    EXPECT_EQ(indexOfFirstFailure(true), indexOfFirstFailure(false));
-}
-
 TEST_F(FaultRailTest, CorruptDexIsRejectedAtParseNotMidExecution)
 {
     binfmt::DexFile file;

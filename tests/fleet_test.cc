@@ -3,8 +3,9 @@
  * FleetSoak tests: the kill-storm teardown regression (no zombies, no
  * leaked ports/VmObjects/zone elements after storms), admission
  * backpressure, bounded retry, watchdog escalation, the railed
- * determinism contract, the /proc/cider/fleet surface, and the
- * percentile/audit/SLO helpers.
+ * determinism contract, the /proc/cider/fleet surface (per system,
+ * beside every other /proc/cider node), and the percentile/audit/SLO
+ * helpers.
  */
 
 #include <gtest/gtest.h>
@@ -43,6 +44,53 @@ smallFleet()
     return opts;
 }
 
+/** The 6-session soak the /proc tests publish. */
+FleetOptions
+tinyFleet()
+{
+    FleetOptions opts = smallFleet();
+    opts.sessions = 6;
+    opts.maxActive = 6;
+    return opts;
+}
+
+/** Run @p body on the main thread of a fresh process, then reap it. */
+template <typename Fn>
+void
+asReader(kernel::Kernel &k, Fn &&body)
+{
+    kernel::Process &proc =
+        k.createProcess("proc.reader", kernel::Persona::Android);
+    kernel::Thread &t = proc.mainThread();
+    {
+        kernel::ThreadScope scope(t);
+        body(t);
+        try {
+            k.sysExit(t, 0);
+        } catch (const kernel::ProcessExit &) {
+        }
+    }
+    k.reapProcess(proc.pid());
+}
+
+/** One read() of up to @p n bytes of @p path, through the kernel VFS. */
+std::string
+readNode(kernel::Kernel &k, kernel::Thread &t, const std::string &path,
+         std::size_t n)
+{
+    kernel::SyscallResult fd = k.sysOpen(t, path, kernel::oflag::RDONLY);
+    EXPECT_TRUE(fd.ok()) << path;
+    if (!fd.ok())
+        return {};
+    Bytes buf;
+    kernel::SyscallResult rd =
+        k.sysRead(t, static_cast<kernel::Fd>(fd.value), buf, n);
+    EXPECT_TRUE(rd.ok()) << path;
+    EXPECT_EQ(static_cast<std::size_t>(rd.value), buf.size()) << path;
+    k.sysClose(t, static_cast<kernel::Fd>(fd.value));
+    return std::string(buf.begin(), buf.end());
+}
+
 TEST(SubsystemStatsTest, PercentileNearestRank)
 {
     SubsystemStats st;
@@ -66,6 +114,8 @@ TEST(LeakAuditTest, DetectsAndNamesDrift)
     a.portsLive = 10;
     b.portsLive = 12;
     b.zombies = 1;
+    a.gpuBuffersLive = 4;
+    b.gpuBuffersLive = 5;
 
     std::string why;
     EXPECT_TRUE(leakAuditClean(a, a, &why));
@@ -73,6 +123,7 @@ TEST(LeakAuditTest, DetectsAndNamesDrift)
     EXPECT_FALSE(leakAuditClean(a, b, &why));
     EXPECT_NE(why.find("ports"), std::string::npos);
     EXPECT_NE(why.find("zombies"), std::string::npos);
+    EXPECT_NE(why.find("gpuBuffers 4 -> 5"), std::string::npos);
 }
 
 TEST(SloTest, GatesCatchCeilingAndFloorViolations)
@@ -331,39 +382,71 @@ TEST(FleetSoakTest, NetGateOnlyAppearsWithTheNetMix)
 TEST(FleetSoakTest, ProcNodePublishesTheLatestReport)
 {
     CiderSystem sys(ciderOptions());
-    FleetOptions opts = smallFleet();
-    opts.sessions = 6;
-    opts.maxActive = 6;
-    FleetSoak soak(sys, opts);
+    FleetSoak soak(sys, tinyFleet());
     soak.run();
 
-    std::string text = FleetSoak::procText();
+    std::string text = soak.procText();
     EXPECT_NE(text.find("FleetSoak report (scale)"), std::string::npos);
     EXPECT_NE(text.find("leak audit: CLEAN"), std::string::npos);
 
     // The same text is readable through the kernel VFS surface.
     kernel::Kernel &k = sys.kernel();
-    kernel::Process &proc =
-        k.createProcess("fleet.reader", kernel::Persona::Android);
-    kernel::Thread &t = proc.mainThread();
+    std::string node;
+    asReader(k, [&](kernel::Thread &t) {
+        node = readNode(k, t, "/proc/cider/fleet", 4096);
+    });
+    EXPECT_NE(node.find("FleetSoak report"), std::string::npos);
+}
+
+TEST(FleetSoakTest, ReportIsPerSystemAndOutlivesItsSoak)
+{
+    CiderSystem first(ciderOptions());
+    CiderSystem second(ciderOptions());
     {
-        kernel::ThreadScope scope(t);
-        kernel::SyscallResult fd =
-            k.sysOpen(t, "/proc/cider/fleet", kernel::oflag::RDONLY);
-        ASSERT_TRUE(fd.ok());
-        Bytes buf;
-        kernel::SyscallResult rd = k.sysRead(
-            t, static_cast<kernel::Fd>(fd.value), buf, 4096);
-        EXPECT_TRUE(rd.ok());
-        std::string node(buf.begin(), buf.end());
-        EXPECT_NE(node.find("FleetSoak report"), std::string::npos);
-        k.sysClose(t, static_cast<kernel::Fd>(fd.value));
-        try {
-            k.sysExit(t, 0);
-        } catch (const kernel::ProcessExit &) {
-        }
+        FleetSoak soak(first, tinyFleet());
+        FleetSoak idle(second, tinyFleet());
+        soak.run();
     }
-    k.reapProcess(proc.pid());
+
+    std::string published, quiet;
+    asReader(first.kernel(), [&](kernel::Thread &t) {
+        published = readNode(first.kernel(), t, "/proc/cider/fleet", 4096);
+    });
+    asReader(second.kernel(), [&](kernel::Thread &t) {
+        quiet = readNode(second.kernel(), t, "/proc/cider/fleet", 4096);
+    });
+    EXPECT_NE(published.find("FleetSoak report (scale)"),
+              std::string::npos);
+    EXPECT_EQ(quiet, "fleet: no soak has published yet\n");
+}
+
+TEST(ProcNodeTest, EveryCiderNodeReadsThroughTheVfs)
+{
+    CiderSystem sys(ciderOptions());
+    FleetSoak soak(sys, tinyFleet());
+    soak.run();
+    kernel::Kernel &k = sys.kernel();
+
+    // Registration order is what the device_add hook mirrors into the
+    // I/O Kit registry.
+    const std::vector<std::string> nodes = {
+        "trapstats", "faults", "lockorder", "percpu", "vm",
+        "net",       "iokit",  "jit",       "fleet"};
+    std::vector<std::string> registered;
+    for (const kernel::Device *dev : k.devices().all())
+        if (dev->deviceClass() == "proc")
+            registered.push_back(dev->name());
+    EXPECT_EQ(registered, nodes);
+
+    asReader(k, [&](kernel::Thread &t) {
+        for (const std::string &name : nodes) {
+            std::string path = "/proc/cider/" + name;
+            std::string full = readNode(k, t, path, 1 << 20);
+            std::string head = readNode(k, t, path, 16);
+            EXPECT_FALSE(full.empty()) << path;
+            EXPECT_EQ(head, full.substr(0, 16)) << path;
+        }
+    });
 }
 
 } // namespace

@@ -654,13 +654,7 @@ TEST_F(FamilyFixture, StubFamiliesAnswerTheirSelectors)
 TEST_F(FamilyFixture, IoKitProcNodeReportsTreeAndPersonalities)
 {
     addNic("eth0", "1");
-    IoKitStatsDevice proc_dev(registry_, catalogue_);
-    kernel::Process &proc = kernel_.createProcess("reader");
-    kernel::Thread &t = proc.mainThread();
-    kernel::ThreadScope scope(t);
-    Bytes out;
-    ASSERT_TRUE(proc_dev.read(t, out, 1 << 16).ok());
-    std::string text(out.begin(), out.end());
+    std::string text = dumpIoKit(registry_, catalogue_);
     EXPECT_NE(text.find("IONetworkController"), std::string::npos);
     EXPECT_NE(text.find("IONetworkInterface"), std::string::npos);
     EXPECT_NE(text.find("score=1000"), std::string::npos);

@@ -38,6 +38,7 @@ class FlingerTest : public ::testing::Test
 
 TEST_F(FlingerTest, LayerLifecycle)
 {
+    std::size_t baseline = gpu_.buffers().liveCount();
     int id = flinger_.createLayer("app", 32, 32);
     EXPECT_GT(id, 0);
     EXPECT_EQ(flinger_.layerCount(), 1u);
@@ -48,9 +49,13 @@ TEST_F(FlingerTest, LayerLifecycle)
     ASSERT_NE(buf, nullptr);
     EXPECT_EQ(buf->width, 32u);
 
+    EXPECT_EQ(gpu_.buffers().liveCount(), baseline + 1);
+
     flinger_.removeLayer(id);
     EXPECT_EQ(flinger_.layerCount(), 0u);
     EXPECT_EQ(flinger_.layerBuffer(id), nullptr);
+    // The layer's window memory went with it.
+    EXPECT_EQ(gpu_.buffers().liveCount(), baseline);
 }
 
 TEST_F(FlingerTest, AttachClientBufferZeroCopy)
@@ -62,6 +67,13 @@ TEST_F(FlingerTest, AttachClientBufferZeroCopy)
     EXPECT_EQ(flinger_.layerBuffer(id), iosurface);
     EXPECT_FALSE(flinger_.setLayerBuffer(id, 0x999));
     EXPECT_FALSE(flinger_.setLayerBuffer(0x999, iosurface->id));
+
+    // Removing the layer frees its own window memory only: the
+    // IOSurface belongs to its client and stays registered.
+    std::size_t live = gpu_.buffers().liveCount();
+    flinger_.removeLayer(id);
+    EXPECT_EQ(gpu_.buffers().liveCount(), live - 1);
+    EXPECT_EQ(gpu_.buffers().find(iosurface->id), iosurface);
 }
 
 TEST_F(FlingerTest, ComposeCountsVisibleLayersOnly)

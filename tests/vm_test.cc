@@ -510,28 +510,23 @@ TEST_F(VmTrapTest, ProcDeviceReportsEntriesAndCounters)
 }
 
 // ---------------------------------------------------------------------------
-// Fork cost through the kernel: COW vs the eager A/B lever.
+// Fork cost through the kernel: always COW, far below an eager copy.
 
 TEST_F(VmTrapTest, KernelForkCowBeatsEagerForDyldHeavyProcess)
 {
     proc_->mem().addMapping("dylibs", 22000);
-    auto fork_cost = [&] {
-        return measureVirtual([&] {
-            SyscallResult r = kernel_.sysFork(
-                *thread_, [](Thread &) { return 0; });
-            int status;
-            kernel_.sysWaitpid(*thread_, static_cast<Pid>(r.value),
-                               &status);
-        });
-    };
-
-    std::uint64_t cow_ns = fork_cost();
-    kernel_.setEagerForkCopy(true);
-    std::uint64_t eager_ns = fork_cost();
-    kernel_.setEagerForkCopy(false);
-    EXPECT_GT(eager_ns, cow_ns);
-    EXPECT_GE(eager_ns - cow_ns,
-              22000 * kernel_.vm().pageCopyBytesNs() / 2);
+    VmStats before = kernel_.vm().statsSnapshot();
+    std::uint64_t fork_ns = measureVirtual([&] {
+        SyscallResult r =
+            kernel_.sysFork(*thread_, [](Thread &) { return 0; });
+        int status;
+        kernel_.sysWaitpid(*thread_, static_cast<Pid>(r.value), &status);
+    });
+    VmStats after = kernel_.vm().statsSnapshot();
+    EXPECT_EQ(after.cowForks - before.cowForks, 1u);
+    EXPECT_EQ(after.eagerForks - before.eagerForks, 0u);
+    // Half the content copy an eager fork of these pages would charge.
+    EXPECT_LT(fork_ns, 22000 * kernel_.vm().pageCopyBytesNs() / 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -175,34 +175,6 @@ TEST_F(ZoneMagazineTest, FailureInjectionReachesBoundCallers)
         zfree(zone_, p);
 }
 
-TEST_F(ZoneMagazineTest, CachingToggleDrainsMagazinesFirst)
-{
-    {
-        kernel::CpuScope cpu(cpus_, 3);
-        std::vector<void *> held;
-        for (int i = 0; i < 64; ++i)
-            held.push_back(zalloc(zone_));
-        for (void *p : held)
-            zfree(zone_, p);
-    }
-    ASSERT_GT(zone_stats(zone_).magazineCached, 0u);
-
-    // Legal with live == 0; must fold the magazines back in before
-    // switching to the uncached legacy path.
-    zone_set_caching(zone_, false);
-    ZoneStats st = zone_stats(zone_);
-    EXPECT_EQ(st.magazineCached, 0u);
-
-    kernel::CpuScope cpu(cpus_, 3);
-    void *p = zalloc(zone_);
-    ASSERT_NE(p, nullptr);
-    zfree(zone_, p);
-    st = zone_stats(zone_);
-    // Uncached mode bypasses the magazines even when bound.
-    EXPECT_EQ(st.magazineCached, 0u);
-    zone_set_caching(zone_, true);
-}
-
 TEST(KallocSmpTest, BoundKallocRoundTripsAcrossCpus)
 {
     kernel::PerCpu cpus(4);
