@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 
@@ -64,6 +65,21 @@ const char *const kFleetSites[] = {
     "vm.fault",        "nic.drop",         "nic.reorder",
 };
 
+/** Trip probability of every storm site. */
+constexpr double kStormProbability = 0.02;
+
+/// @{ Backpressure: admission defers while the executor queue or the
+/// Mach port zone sit above these high-water marks.
+constexpr std::uint64_t kQueueHighWater = 4096;
+constexpr std::uint64_t kPortZoneHighWater = 1u << 20;
+/// @}
+
+/// @{ Bounded retry on transient failures; the backoff is exponential
+/// in virtual time: kRetryBackoffNs << attempt.
+constexpr int kRetryLimit = 4;
+constexpr std::uint64_t kRetryBackoffNs = 2'000;
+/// @}
+
 const char *const kIosAppPath = "/data/fleet_app_ios";
 const char *const kAndroidAppPath = "/data/fleet_app_android";
 
@@ -105,16 +121,17 @@ buildSumDex(binfmt::DexFile &file)
     as.finish();
 }
 
-/** Transient vs permanent classification (the retry policy's heart). */
+/**
+ * Transient vs permanent classification (the retry policy's heart):
+ * ENOMEM/EAGAIN for a failed call; resource shortage, no space and
+ * timeouts for a Mach trap's kern_return.
+ */
 bool
-transientErrno(int err)
+transient(const SyscallResult &r)
 {
-    return err == kernel::lnx::NOMEM || err == kernel::lnx::AGAIN;
-}
-
-bool
-transientKr(std::int64_t kr)
-{
+    if (!r.ok())
+        return r.err == kernel::lnx::NOMEM || r.err == kernel::lnx::AGAIN;
+    std::int64_t kr = r.value;
     return kr == xnu::KERN_RESOURCE_SHORTAGE || kr == xnu::KERN_NO_SPACE ||
            kr == xnu::KERN_OPERATION_TIMED_OUT ||
            kr == xnu::MACH_SEND_TIMED_OUT || kr == xnu::MACH_RCV_TIMED_OUT ||
@@ -123,10 +140,10 @@ transientKr(std::int64_t kr)
 
 /**
  * RAII diplomatic persona switch: Mach traps only dispatch from the
- * iOS persona, so Android sessions (and the rail guests) hop personas
- * around their Mach segments exactly the way diplomatic functions do —
- * which also makes the fleet hammer set_persona concurrently on pool
- * workers. Restores on unwind (storm kills land mid-segment).
+ * iOS persona, so Android sessions hop personas around their Mach
+ * segments exactly the way diplomatic functions do — which also makes
+ * the fleet hammer set_persona concurrently on pool workers. Restores
+ * on unwind (storm kills land mid-segment).
  */
 class PersonaGuard
 {
@@ -228,8 +245,9 @@ buildReportText(const FleetReport &r, const char *mode)
 }
 
 /**
- * The soak engine: owns the session table and the wave loop. One
- * engine instance per run; FleetSoak is the thin durable facade.
+ * The soak engine: owns the session table and the chain of wired
+ * mailboxes. One engine instance per run; FleetSoak is the thin
+ * durable facade.
  */
 class Engine
 {
@@ -247,9 +265,10 @@ class Engine
         Launching,
         Foreground,
         Background,
-        Done,
     };
 
+    /** One app session. It is over once its process has exited (and
+     *  then been reaped: proc is reset to null). */
     struct Session
     {
         std::size_t id = 0;
@@ -259,7 +278,6 @@ class Engine
         Rng rng{1};
         Phase phase = Phase::Launching;
         int round = 0;
-        int launchAttempts = 0;
         xnu::mach_port_name_t selfPort = xnu::MACH_PORT_NULL;
         xnu::mach_port_name_t peerSend = xnu::MACH_PORT_NULL;
         kernel::Pid peerPid = -1;
@@ -279,7 +297,15 @@ class Engine
         std::map<std::string, SubsystemStats> stats;
     };
 
-    /// @{ Session state machine (run on pool workers).
+    /** True while the session's process runs: launched or launching,
+     *  not yet exited, killed or reaped. */
+    static bool
+    live(const Session &s)
+    {
+        return s.proc && s.proc->state() == Process::State::Running;
+    }
+
+    /// @{ Session state machine (pool workers, rail guests, or inline).
     std::uint64_t step(Session &s);
     void doLaunch(Session &s, Thread &t);
     void postLaunch(Session &s, Thread &t);
@@ -290,56 +316,55 @@ class Engine
     void dropGlLayers(binfmt::UserEnv &env);
     /// @}
 
+    /// @{ Session lifecycle around the state machine. Never run
+    /// concurrently: they are called between waves or before a rail
+    /// episode, or by a rail guest while the rail runs it alone.
+    Session &admit(std::size_t id, Persona persona);
+    void wire(Session &s);
+    void drive(Session &s);
+    void warmUp(Persona persona);
+    /// @}
+
     /// @{ Driver-side passes (between waves; no jobs in flight).
-    void admit(kernel::ExecutorPool &pool, std::size_t id);
-    void wirePeers();
     void watchdog(Thread &initT);
     void killStorm(Thread &initT, Rng &rng);
-    std::size_t reapPass(Thread &initT, std::size_t *live);
+    std::size_t reapPass(Thread &initT);
     void cleanupSessionDir(Thread &t, const std::string &dir);
     /// @}
 
-    void warmupSession(Persona persona);
-    void wireSelf(Session &s);
+    FleetReport soak(std::uint64_t stormSeed,
+                     const std::function<void(Thread &initT)> &body);
     void armStorm(std::uint64_t seed_base);
     void disarmStorm();
     void foldCounters();
     void mergeStats(Session &s);
-    void railRound(Thread &t, std::size_t idx, int round,
-                   xnu::mach_port_name_t port, const binfmt::DexFile &dex,
-                   android::DalvikVm &vm);
 
     /**
-     * Mach trap with bounded retry on transient kern_return codes
-     * (and transient errno). @p build re-creates the argument pack per
-     * attempt — msgSend consumes its message, so arguments must be
-     * rebuilt, not reused. Backoff is charged virtual time.
+     * Run @p attempt, retrying transient failures up to kRetryLimit
+     * times with virtual-time backoff; exhaustion and permanent
+     * failures are counted. @p attempt rebuilds its arguments on every
+     * call — msgSend consumes its message, so they cannot be reused.
      */
+    template <typename Attempt>
     SyscallResult
-    machRetry(Thread &t, int nr,
-              const std::function<kernel::SyscallArgs()> &build)
+    retry(Attempt &&attempt)
     {
-        SyscallResult r;
-        for (int attempt = 0;; ++attempt) {
-            r = k_.trap(t, TrapClass::XnuMach, nr, build());
-            bool transient = !r.ok() ? transientErrno(r.err)
-                                     : (r.value != xnu::KERN_SUCCESS &&
-                                        transientKr(r.value));
-            if (!transient) {
+        for (int n = 0;; ++n) {
+            SyscallResult r = attempt();
+            if (!transient(r)) {
                 // A send landing on a dead port is the normal fate of
                 // fan-out racing a peer's exit, not an error.
-                bool tolerated =
-                    r.ok() && r.value == xnu::MACH_SEND_INVALID_DEST;
-                if ((!r.ok() || r.value != xnu::KERN_SUCCESS) && !tolerated)
+                if (!r.ok() || (r.value != xnu::KERN_SUCCESS &&
+                                r.value != xnu::MACH_SEND_INVALID_DEST))
                     permanentErrors_.fetch_add(1, std::memory_order_relaxed);
                 return r;
             }
-            if (attempt >= opts_.retryLimit) {
+            if (n >= kRetryLimit) {
                 retriesExhausted_.fetch_add(1, std::memory_order_relaxed);
                 return r;
             }
             retriesTransient_.fetch_add(1, std::memory_order_relaxed);
-            charge(opts_.retryBackoffNs << attempt);
+            charge(kRetryBackoffNs << n);
         }
     }
 
@@ -358,9 +383,8 @@ class Engine
     FleetReport report_;
     std::vector<std::unique_ptr<Session>> sessions_;
     Process *init_ = nullptr;
-    /** Most recently wired session — the fan-out peer of the next one.
-     *  Only touched between waves. */
-    Session *lastLaunched_ = nullptr;
+    /** The most recently wired session: the fan-out peer of the next. */
+    Session *chainTail_ = nullptr;
     std::atomic<std::uint64_t> retriesTransient_{0};
     std::atomic<std::uint64_t> retriesExhausted_{0};
     std::atomic<std::uint64_t> permanentErrors_{0};
@@ -371,8 +395,7 @@ class Engine
 std::uint64_t
 Engine::step(Session &s)
 {
-    if (!s.proc || s.proc->state() != Process::State::Running ||
-        s.phase == Phase::Done)
+    if (!live(s))
         return 0;
     Thread &t = s.proc->mainThread();
     ThreadScope scope(t);
@@ -388,12 +411,12 @@ Engine::step(Session &s)
         case Phase::Background:
             doIdle(s, t);
             break;
-        case Phase::Done:
-            break;
         }
     } catch (const ProcessExit &) {
         // Clean unwind of sysExit / the OOM killer / a storm-delivered
-        // fatal signal; the reap pass classifies by exit code.
+        // fatal signal; the reap pass classifies by exit code. Only
+        // ProcessExit is caught: a rail guest's SchedRailAbort must
+        // reach the rail's guest wrapper or deadlock recovery breaks.
     }
     std::uint64_t consumed = t.clock().now() - start;
     s.lastStepNs = consumed;
@@ -406,29 +429,9 @@ Engine::doLaunch(Session &s, Thread &t)
     std::uint64_t start = t.clock().now();
     const char *path =
         s.persona == Persona::Ios ? kIosAppPath : kAndroidAppPath;
-    SyscallResult r;
-    for (;;) {
-        r = k_.execLoad(t, path, {path});
-        if (r.ok())
-            break;
-        if (!transientErrno(r.err) || s.launchAttempts >= opts_.retryLimit)
-            break;
-        ++s.launchAttempts;
-        retriesTransient_.fetch_add(1, std::memory_order_relaxed);
-        charge(opts_.retryBackoffNs
-               << static_cast<unsigned>(s.launchAttempts));
-    }
-    if (!r.ok()) {
-        int code;
-        if (transientErrno(r.err)) {
-            retriesExhausted_.fetch_add(1, std::memory_order_relaxed);
-            code = 126;
-        } else {
-            permanentErrors_.fetch_add(1, std::memory_order_relaxed);
-            code = 127;
-        }
-        k_.sysExit(t, code); // throws ProcessExit
-    }
+    SyscallResult r = retry([&] { return k_.execLoad(t, path, {path}); });
+    if (!r.ok()) // 126: retries exhausted, 127: permanent failure
+        k_.sysExit(t, transient(r) ? 126 : 127); // throws ProcessExit
     // The loader wrapped dyld/linker bootstrap into the entry; the app
     // body returns 0 and the process stays Running, fully booted.
     if (s.proc->image().entry)
@@ -453,14 +456,15 @@ Engine::postLaunch(Session &s, Thread &t)
     };
     k_.sysSigaction(t, kernel::lsig::USR1, act);
 
-    // The session mailbox: the next-launched session gets a send right
-    // to it (wirePeers), forming a cross-persona fan-out chain.
+    // The session mailbox: the next session wired gets a send right
+    // to it (wire), forming a cross-persona fan-out chain.
     PersonaGuard diplomat(sys_.personaManager(), t, Persona::Ios);
     xnu::mach_port_name_t port = xnu::MACH_PORT_NULL;
-    SyscallResult r = machRetry(t, xnu::machno::PORT_ALLOCATE, [&port] {
-        return makeArgs(
-            static_cast<std::uint64_t>(xnu::PortRight::Receive),
-            static_cast<void *>(&port));
+    SyscallResult r = retry([&] {
+        return k_.trap(
+            t, TrapClass::XnuMach, xnu::machno::PORT_ALLOCATE,
+            makeArgs(static_cast<std::uint64_t>(xnu::PortRight::Receive),
+                     static_cast<void *>(&port)));
     });
     if (r.ok() && r.value == xnu::KERN_SUCCESS)
         s.selfPort = port;
@@ -476,7 +480,7 @@ Engine::postLaunch(Session &s, Thread &t)
     s.dalvik->setJitWarmup(0);
 
     // NetBurst mailbox: a nonblocking datagram socket on a pid-derived
-    // port; fan-out peers poke it (wirePeers gives them the pid).
+    // port; fan-out peers poke it (wire gives them the pid).
     if (opts_.netBurst) {
         SyscallResult dr = k_.sysNetSocket(t, 2);
         if (dr.ok()) {
@@ -531,7 +535,7 @@ Engine::doRound(Session &s, Thread &t)
         t0 = t.clock().now();
         if (s.peerSend != xnu::MACH_PORT_NULL) {
             xnu::MachMessage msg;
-            auto build = [&msg, &s] {
+            SyscallResult sr = retry([&] {
                 msg = xnu::MachMessage{};
                 msg.header.remotePort = s.peerSend;
                 msg.header.remoteDisposition =
@@ -541,11 +545,11 @@ Engine::doRound(Session &s, Thread &t)
                 ool.data = Bytes(static_cast<std::size_t>(256),
                                  static_cast<std::uint8_t>(s.round));
                 msg.ool.push_back(std::move(ool));
-                return makeArgs(static_cast<void *>(&msg),
-                                xnu::machmsg::SEND, std::uint64_t{0},
-                                static_cast<void *>(nullptr));
-            };
-            SyscallResult sr = machRetry(t, xnu::machno::MACH_MSG, build);
+                return k_.trap(t, TrapClass::XnuMach, xnu::machno::MACH_MSG,
+                               makeArgs(static_cast<void *>(&msg),
+                                        xnu::machmsg::SEND, std::uint64_t{0},
+                                        static_cast<void *>(nullptr)));
+            });
             if (sr.ok() && sr.value == xnu::MACH_SEND_INVALID_DEST) {
                 // The peer exited; drop the dead right and go quiet.
                 k_.trap(t, TrapClass::XnuMach,
@@ -583,12 +587,12 @@ Engine::doRound(Session &s, Thread &t)
         // VM traps.
         t0 = t.clock().now();
         std::uint64_t vmaddr = 0;
-        SyscallResult va =
-            machRetry(t, xnu::machno::VM_ALLOCATE, [&vmaddr] {
-                vmaddr = 0;
-                return makeArgs(std::uint64_t{16384},
-                                static_cast<void *>(&vmaddr));
-            });
+        SyscallResult va = retry([&] {
+            vmaddr = 0;
+            return k_.trap(t, TrapClass::XnuMach, xnu::machno::VM_ALLOCATE,
+                           makeArgs(std::uint64_t{16384},
+                                    static_cast<void *>(&vmaddr)));
+        });
         if (va.ok() && va.value == xnu::KERN_SUCCESS && vmaddr != 0) {
             Bytes pattern{1, 2, 3, 4};
             k_.trap(t, TrapClass::XnuMach, xnu::machno::VM_WRITE,
@@ -813,59 +817,87 @@ Engine::netBurst(Session &s, Thread &t)
     }
 }
 
-void
-Engine::admit(kernel::ExecutorPool &pool, std::size_t id)
+/** A new session and its process, a child of init, in the table. The
+ *  caller schedules its first (launch) step. */
+Engine::Session &
+Engine::admit(std::size_t id, Persona persona)
 {
     auto up = std::make_unique<Session>();
     Session &s = *up;
     s.id = id;
     s.vcpu = static_cast<unsigned>(id % k_.percpu().count());
-    s.persona = (id % 2 == 0) ? Persona::Ios : Persona::Android;
+    s.persona = persona;
     s.rng = Rng((opts_.seed << 16) ^ (id * 0x9e3779b97f4a7c15ULL + 1));
-    s.proc = &k_.createProcess("fleet.s" + std::to_string(id), s.persona,
+    s.proc = &k_.createProcess("fleet.s" + std::to_string(id), persona,
                                init_);
     ++report_.sessionsStarted;
-    Session *raw = &s;
-    pool.submitOn(s.vcpu, [this, raw] { return step(*raw); },
-                  "fleet.launch");
     sessions_.push_back(std::move(up));
+    return s;
 }
 
+/**
+ * Give a launched, unwired session a send right to the chain's tail —
+ * the last session wired, while it lives — and make it the new tail.
+ * A session with no partner is wired to itself.
+ */
 void
-Engine::wirePeers()
+Engine::wire(Session &s)
 {
+    if (s.wired || s.phase == Phase::Launching || !live(s))
+        return;
+    s.wired = true;
+    if (s.selfPort == xnu::MACH_PORT_NULL)
+        return;
+    Session *peer =
+        chainTail_ != nullptr && live(*chainTail_) ? chainTail_ : &s;
     xnu::MachIpc &ipc = sys_.machIpc();
-    for (auto &up : sessions_) {
-        Session &s = *up;
-        if (s.wired || s.phase == Phase::Launching ||
-            s.phase == Phase::Done)
-            continue;
-        if (!s.proc || s.proc->state() != Process::State::Running)
-            continue;
-        s.wired = true;
-        if (s.selfPort == xnu::MACH_PORT_NULL)
-            continue;
-        Session *peer = &s; // self-wire until a chain partner exists
-        if (lastLaunched_ && lastLaunched_ != &s && lastLaunched_->proc &&
-            lastLaunched_->proc->state() == Process::State::Running &&
-            lastLaunched_->selfPort != xnu::MACH_PORT_NULL)
-            peer = lastLaunched_;
-        xnu::MachTaskState &peerTask = xnu::machTask(ipc, *peer->proc);
-        xnu::MachTaskState &ownTask = xnu::machTask(ipc, *s.proc);
-        xnu::PortPtr port;
-        if (peerTask.space &&
-            ipc.portLookup(*peerTask.space, peer->selfPort, &port) ==
-                xnu::KERN_SUCCESS &&
-            ownTask.space) {
-            xnu::mach_port_name_t name = xnu::MACH_PORT_NULL;
-            if (ipc.insertSendRight(*ownTask.space, port, &name) ==
-                xnu::KERN_SUCCESS) {
-                s.peerSend = name;
-                s.peerPid = peer->proc->pid();
-            }
+    xnu::MachTaskState &peerTask = xnu::machTask(ipc, *peer->proc);
+    xnu::MachTaskState &ownTask = xnu::machTask(ipc, *s.proc);
+    xnu::PortPtr port;
+    if (peerTask.space &&
+        ipc.portLookup(*peerTask.space, peer->selfPort, &port) ==
+            xnu::KERN_SUCCESS &&
+        ownTask.space) {
+        xnu::mach_port_name_t name = xnu::MACH_PORT_NULL;
+        if (ipc.insertSendRight(*ownTask.space, port, &name) ==
+            xnu::KERN_SUCCESS) {
+            s.peerSend = name;
+            s.peerPid = peer->proc->pid();
         }
-        lastLaunched_ = &s;
     }
+    chainTail_ = &s;
+}
+
+/** Step @p s on the calling thread until its process exits, wiring it
+ *  once launched (warm-ups and rail guests). */
+void
+Engine::drive(Session &s)
+{
+    while (live(s)) {
+        wire(s);
+        step(s);
+    }
+}
+
+/**
+ * One inline session per persona before the before-snapshot, so lazy
+ * first-touch state — the shared dyld cache region, zone slabs,
+ * framework singletons — is steady before accounting starts. Its stats
+ * are discarded, and it is never a later session's chain partner.
+ */
+void
+Engine::warmUp(Persona persona)
+{
+    bool ios = persona == Persona::Ios;
+    Session s;
+    s.id = 0xFFFF; // odd-ish id so the dex/gl cadences still fire
+    s.persona = persona;
+    s.rng = Rng(opts_.seed ^ (ios ? 0x1505u : 0x0a0du));
+    s.proc = &k_.createProcess(ios ? "fleet.warm_ios" : "fleet.warm_android",
+                               persona, nullptr);
+    drive(s);
+    k_.reapProcess(s.proc->pid()); // orphan corpse: direct init-style reap
+    chainTail_ = nullptr;
 }
 
 void
@@ -873,8 +905,7 @@ Engine::watchdog(Thread &initT)
 {
     for (auto &up : sessions_) {
         Session &s = *up;
-        if (!s.proc || s.proc->state() != Process::State::Running ||
-            s.phase == Phase::Done || s.phase == Phase::Launching)
+        if (!live(s) || s.phase == Phase::Launching)
             continue;
         if (s.lastStepNs <= opts_.watchdogBudgetNs)
             continue;
@@ -920,9 +951,7 @@ Engine::killStorm(Thread &initT, Rng &rng)
     ThreadScope scope(initT);
     for (auto &up : sessions_) {
         Session &s = *up;
-        if (!s.proc || s.proc->state() != Process::State::Running)
-            continue;
-        if (s.phase != Phase::Foreground && s.phase != Phase::Background)
+        if (!live(s) || s.phase == Phase::Launching)
             continue;
         if (!rng.chance(opts_.killStormFraction))
             continue;
@@ -944,26 +973,23 @@ Engine::cleanupSessionDir(Thread &t, const std::string &dir)
 }
 
 std::size_t
-Engine::reapPass(Thread &initT, std::size_t *live)
+Engine::reapPass(Thread &initT)
 {
     ThreadScope scope(initT);
     k_.checkPendingSignals(initT); // drain queued SIGCHLDs
     std::size_t reaped = 0;
     for (auto &up : sessions_) {
         Session &s = *up;
-        if (!s.proc || s.phase == Phase::Done)
-            continue;
-        if (s.proc->state() != Process::State::Zombie)
+        if (!s.proc || s.proc->state() != Process::State::Zombie)
             continue;
         kernel::Pid pid = s.proc->pid();
         int status = -1;
         SyscallResult r = k_.sysWaitpid(initT, pid, &status);
         cleanupSessionDir(initT, s.dir);
         k_.reapProcess(pid);
-        if (lastLaunched_ == &s)
-            lastLaunched_ = nullptr;
+        if (chainTail_ == &s)
+            chainTail_ = nullptr;
         s.proc = nullptr;
-        s.phase = Phase::Done;
         s.dalvik.reset();
         s.jitCache.reset();
         s.dex.reset();
@@ -977,8 +1003,6 @@ Engine::reapPass(Thread &initT, std::size_t *live)
         else
             ++report_.sessionsFailed;
         ++reaped;
-        if (live && *live > 0)
-            --*live;
     }
     return reaped;
 }
@@ -997,55 +1021,6 @@ Engine::mergeStats(Session &s)
 }
 
 void
-Engine::wireSelf(Session &s)
-{
-    if (s.wired || !s.proc || s.selfPort == xnu::MACH_PORT_NULL)
-        return;
-    xnu::MachIpc &ipc = sys_.machIpc();
-    xnu::MachTaskState &task = xnu::machTask(ipc, *s.proc);
-    xnu::PortPtr port;
-    if (task.space &&
-        ipc.portLookup(*task.space, s.selfPort, &port) ==
-            xnu::KERN_SUCCESS) {
-        xnu::mach_port_name_t name = xnu::MACH_PORT_NULL;
-        if (ipc.insertSendRight(*task.space, port, &name) ==
-            xnu::KERN_SUCCESS) {
-            s.peerSend = name;
-            s.peerPid = s.proc->pid();
-        }
-    }
-    s.wired = true;
-}
-
-void
-Engine::warmupSession(Persona persona)
-{
-    // One inline session per persona before the before-snapshot, so
-    // lazy first-touch state — the shared dyld cache region, zone
-    // slabs, framework singletons — is steady before accounting
-    // starts. Its stats are discarded.
-    auto up = std::make_unique<Session>();
-    Session &s = *up;
-    s.id = 0xFFFF; // odd-ish id so the dex/gl cadences still fire
-    s.persona = persona;
-    s.rng = Rng(opts_.seed ^
-                (persona == Persona::Ios ? 0x1505u : 0x0a0du));
-    s.proc = &k_.createProcess(
-        persona == Persona::Ios ? "fleet.warm_ios" : "fleet.warm_android",
-        persona, nullptr);
-    int guard = opts_.rounds * 4 + 8;
-    while (guard-- > 0 && s.proc->state() == Process::State::Running &&
-           s.phase != Phase::Done) {
-        step(s);
-        if (s.phase == Phase::Foreground && !s.wired)
-            wireSelf(s);
-    }
-    kernel::Pid pid = s.proc->pid();
-    s.proc = nullptr;
-    k_.reapProcess(pid); // orphan corpse: direct init-style reap
-}
-
-void
 Engine::armStorm(std::uint64_t seed_base)
 {
     ducttape::waitq_set_block_grace_ms(2);
@@ -1056,8 +1031,7 @@ Engine::armStorm(std::uint64_t seed_base)
     rail.setTracking(true);
     std::uint64_t idx = 0;
     for (const char *site : kFleetSites)
-        rail.armProbability(site, opts_.stormProbability,
-                            seed_base + idx++);
+        rail.armProbability(site, kStormProbability, seed_base + idx++);
 }
 
 void
@@ -1089,13 +1063,19 @@ Engine::foldCounters()
             " wrong results (JIT fallback contract violated)");
 }
 
+/**
+ * The bracket every soak runs in: warm-up, before-snapshot, the init
+ * reaper, the storm around @p body (which admits and drives the
+ * sessions), then the reap, after-snapshot, audit and counters.
+ */
 FleetReport
-Engine::runScale()
+Engine::soak(std::uint64_t stormSeed,
+             const std::function<void(Thread &initT)> &body)
 {
     auto hostStart = std::chrono::steady_clock::now();
     ensureInstalled(sys_);
-    warmupSession(Persona::Ios);
-    warmupSession(Persona::Android);
+    warmUp(Persona::Ios);
+    warmUp(Persona::Android);
     k_.sweepReaped();
     report_.before = takeLeakSnapshot(sys_);
 
@@ -1113,69 +1093,14 @@ Engine::runScale()
     }
 
     if (opts_.storm)
-        armStorm(opts_.seed * 1000);
+        armStorm(stormSeed);
+    body(initT);
+    if (opts_.storm)
+        disarmStorm();
 
-    kernel::ExecutorPool pool(
-        k_.percpu(),
-        opts_.hostThreads != 0 ? opts_.hostThreads : k_.percpu().count());
-
-    std::size_t spawned = 0;
-    std::size_t live = 0;
-    std::size_t finished = 0;
-    Rng stormRng(opts_.seed ^ 0xdead5eedULL);
-    std::uint64_t waveCap =
-        static_cast<std::uint64_t>(opts_.sessions) *
-            static_cast<std::uint64_t>(opts_.rounds + 16) +
-        64;
-
-    while (finished < opts_.sessions) {
-        // Step every live session this wave (before admission reads
-        // the queue depth, so backpressure sees the real load).
-        for (auto &up : sessions_) {
-            Session *raw = up.get();
-            if (raw->phase == Phase::Done || !raw->proc ||
-                raw->proc->state() != Process::State::Running)
-                continue;
-            pool.submitOn(raw->vcpu, [this, raw] { return step(*raw); },
-                          "fleet.step");
-        }
-
-        // Admission control: top the fleet up to maxActive unless the
-        // run queues or the port zone are saturated.
-        while (spawned < opts_.sessions && live < opts_.maxActive) {
-            if (pool.queuedJobs() >= opts_.queueHighWater ||
-                sys_.machIpc().portZoneStats().live >=
-                    opts_.portZoneHighWater) {
-                ++report_.admissionDeferred;
-                break;
-            }
-            admit(pool, spawned++);
-            ++live;
-        }
-        if (spawned < opts_.sessions && live >= opts_.maxActive)
-            ++report_.admissionDeferred;
-        report_.peakLive = std::max(report_.peakLive, live);
-
-        kernel::SmpEpoch epoch = pool.runAll();
-        report_.virtualDurationNs += epoch.mergedNs;
-        report_.steals += epoch.steals;
-        ++report_.waves;
-
-        wirePeers();
-        watchdog(initT);
-        if (opts_.storm)
-            killStorm(initT, stormRng);
-        finished += reapPass(initT, &live);
-
-        if (report_.waves > waveCap) {
-            report_.failureTraces.push_back(
-                "wave cap exceeded: " + std::to_string(finished) + "/" +
-                std::to_string(opts_.sessions) + " sessions finished");
-            break;
-        }
-    }
-
-    // Teardown: init drains its last SIGCHLDs, exits, and is reaped.
+    // Teardown: init reaps what is left, drains its last SIGCHLDs,
+    // exits, and is reaped.
+    reapPass(initT);
     {
         ThreadScope scope(initT);
         k_.checkPendingSignals(initT);
@@ -1187,8 +1112,6 @@ Engine::runScale()
     k_.reapProcess(init_->pid());
     init_ = nullptr;
 
-    if (opts_.storm)
-        disarmStorm();
     k_.sweepReaped();
     report_.after = takeLeakSnapshot(sys_);
     report_.auditClean = leakAuditClean(report_.before, report_.after,
@@ -1201,234 +1124,117 @@ Engine::runScale()
     return report_;
 }
 
-void
-Engine::railRound(Thread &t, std::size_t idx, int round,
-                  xnu::mach_port_name_t port, const binfmt::DexFile &dex,
-                  android::DalvikVm &vm)
+FleetReport
+Engine::runScale()
 {
-    // Paths key off the guest *index*, never the pid: two same-seed
-    // runs on fresh systems must charge identical costs.
-    std::string dir = "/data/fleet_rail" + std::to_string(idx);
-    k_.sysMkdir(t, dir);
-    std::string path = dir + "/f" + std::to_string(round);
-    SyscallResult fd =
-        k_.sysOpen(t, path, kernel::oflag::WRONLY | kernel::oflag::CREAT);
-    if (fd.ok()) {
-        k_.sysWrite(t, static_cast<kernel::Fd>(fd.value), Bytes{1, 2, 3, 4});
-        k_.sysClose(t, static_cast<kernel::Fd>(fd.value));
-    }
-    k_.sysUnlink(t, path);
-    k_.sysRmdir(t, dir);
+    return soak(opts_.seed * 1000, [this](Thread &initT) {
+        kernel::ExecutorPool pool(k_.percpu(), opts_.hostThreads != 0
+                                                   ? opts_.hostThreads
+                                                   : k_.percpu().count());
+        std::size_t spawned = 0;
+        std::size_t active = 0;
+        std::size_t finished = 0;
+        Rng stormRng(opts_.seed ^ 0xdead5eedULL);
+        std::uint64_t waveCap =
+            static_cast<std::uint64_t>(opts_.sessions) *
+                static_cast<std::uint64_t>(opts_.rounds + 16) +
+            64;
 
-    // The guests are Android/ELF; their Mach segments are diplomatic
-    // blocks just like the scale fleet's.
-    PersonaGuard diplomat(sys_.personaManager(), t, Persona::Ios);
-    if (port != xnu::MACH_PORT_NULL) {
-        xnu::MachMessage msg;
-        msg.header.remotePort = port;
-        msg.header.remoteDisposition = xnu::MsgDisposition::MakeSend;
-        msg.header.msgId = 7100 + round;
-        xnu::OolDescriptor ool;
-        ool.data = Bytes(static_cast<std::size_t>(128),
-                         static_cast<std::uint8_t>(round));
-        msg.ool.push_back(std::move(ool));
-        k_.trap(t, TrapClass::XnuMach, xnu::machno::MACH_MSG,
-                makeArgs(static_cast<void *>(&msg), xnu::machmsg::SEND,
-                         std::uint64_t{0}, static_cast<void *>(nullptr)));
-        xnu::MachMessage rcv;
-        SyscallResult r = k_.trap(
-            t, TrapClass::XnuMach, xnu::machno::MACH_MSG,
-            makeArgs(static_cast<void *>(nullptr),
-                     xnu::machmsg::RCV | xnu::machmsg::RCV_TIMEOUT,
-                     static_cast<std::uint64_t>(port),
-                     static_cast<void *>(&rcv), std::uint64_t{50'000}));
-        if (r.ok() && r.value == xnu::KERN_SUCCESS && !rcv.ool.empty() &&
-            rcv.ool[0].address != 0) {
-            Bytes poke{9, 9};
-            k_.trap(t, TrapClass::XnuMach, xnu::machno::VM_WRITE,
-                    makeArgs(rcv.ool[0].address,
-                             static_cast<const Bytes *>(&poke)));
-            k_.trap(t, TrapClass::XnuMach, xnu::machno::VM_DEALLOCATE,
-                    makeArgs(rcv.ool[0].address));
+        while (finished < opts_.sessions) {
+            // Step every live session this wave (before admission
+            // reads the queue depth, so backpressure sees the real
+            // load).
+            for (auto &up : sessions_) {
+                Session *raw = up.get();
+                if (live(*raw))
+                    pool.submitOn(raw->vcpu,
+                                  [this, raw] { return step(*raw); },
+                                  "fleet.step");
+            }
+
+            // Admission control: top the fleet up to maxActive unless
+            // the run queues or the port zone are saturated.
+            while (spawned < opts_.sessions && active < opts_.maxActive) {
+                if (pool.queuedJobs() >= kQueueHighWater ||
+                    sys_.machIpc().portZoneStats().live >=
+                        kPortZoneHighWater) {
+                    ++report_.admissionDeferred;
+                    break;
+                }
+                std::size_t id = spawned++;
+                Session *raw = &admit(
+                    id, id % 2 == 0 ? Persona::Ios : Persona::Android);
+                pool.submitOn(raw->vcpu, [this, raw] { return step(*raw); },
+                              "fleet.launch");
+                ++active;
+            }
+            if (spawned < opts_.sessions && active >= opts_.maxActive)
+                ++report_.admissionDeferred;
+            report_.peakLive = std::max(report_.peakLive, active);
+
+            kernel::SmpEpoch epoch = pool.runAll();
+            report_.virtualDurationNs += epoch.mergedNs;
+            report_.steals += epoch.steals;
+            ++report_.waves;
+
+            for (auto &up : sessions_)
+                wire(*up);
+            watchdog(initT);
+            if (opts_.storm)
+                killStorm(initT, stormRng);
+            std::size_t reaped = reapPass(initT);
+            finished += reaped;
+            active -= reaped;
+
+            if (report_.waves > waveCap) {
+                report_.failureTraces.push_back(
+                    "wave cap exceeded: " + std::to_string(finished) + "/" +
+                    std::to_string(opts_.sessions) + " sessions finished");
+                break;
+            }
         }
-    }
-
-    std::uint64_t vmaddr = 0;
-    SyscallResult va =
-        k_.trap(t, TrapClass::XnuMach, xnu::machno::VM_ALLOCATE,
-                makeArgs(std::uint64_t{8192}, static_cast<void *>(&vmaddr)));
-    if (va.ok() && va.value == xnu::KERN_SUCCESS && vmaddr != 0) {
-        Bytes pattern{5, 6, 7, 8};
-        k_.trap(t, TrapClass::XnuMach, xnu::machno::VM_WRITE,
-                makeArgs(vmaddr, static_cast<const Bytes *>(&pattern)));
-        Bytes back;
-        k_.trap(t, TrapClass::XnuMach, xnu::machno::VM_READ,
-                makeArgs(vmaddr, std::uint64_t{4},
-                         static_cast<Bytes *>(&back)));
-        k_.trap(t, TrapClass::XnuMach, xnu::machno::VM_DEALLOCATE,
-                makeArgs(vmaddr));
-    }
-
-    // One semaphore shared across all guests and one private. The
-    // shared one is wait-THEN-signal: whether a guest's wait consumes
-    // a peer's earlier signal or burns its timeout depends on the
-    // schedule, so different rail seeds produce genuinely different
-    // virtual-time series (same seed still reproduces bit-for-bit).
-    k_.trap(t, TrapClass::XnuMach, xnu::machno::SEMAPHORE_WAIT,
-            makeArgs(std::uint64_t{0xF1EE7}, std::uint64_t{40'000}));
-    k_.trap(t, TrapClass::XnuMach, xnu::machno::SEMAPHORE_SIGNAL,
-            makeArgs(std::uint64_t{0xF1EE7}));
-    std::uint64_t psem = (static_cast<std::uint64_t>(idx + 1) << 24) |
-                         static_cast<std::uint64_t>(round);
-    k_.trap(t, TrapClass::XnuMach, xnu::machno::SEMAPHORE_SIGNAL,
-            makeArgs(psem));
-    k_.trap(t, TrapClass::XnuMach, xnu::machno::SEMAPHORE_WAIT,
-            makeArgs(psem, std::uint64_t{25'000}));
-
-    // Synchronous self-poke through the hardened delivery path.
-    k_.sysKill(t, t.process().pid(), kernel::lsig::USR1);
-
-    if ((round + static_cast<int>(idx)) % 2 == 0) {
-        android::DexVal r = vm.run(dex, "sum", {std::int64_t{100}});
-        if (android::dexI(r) != 5050)
-            dexWrong_.fetch_add(1, std::memory_order_relaxed);
-    }
+    });
 }
 
 FleetReport
 Engine::runRailed(std::uint64_t seed, std::size_t n)
 {
-    auto hostStart = std::chrono::steady_clock::now();
-    n = std::min<std::size_t>(std::max<std::size_t>(n, 1), 8);
-    ensureInstalled(sys_);
-    // Rail guests are Android/ELF only: the iOS dyld bootstrap holds
-    // the shared-region mutex across work that contains rail yield
-    // points, which would deadlock the host under an armed rail. The
-    // rail-relevant subsystems — Mach IPC, psynch, waitq, zones, the
-    // trap boundary — are all exercised by the Android path.
-    warmupSession(Persona::Android);
-    k_.sweepReaped();
-    report_.before = takeLeakSnapshot(sys_);
+    n = std::clamp<std::size_t>(n, 1, 8);
+    return soak(seed * 997, [this, seed, n](Thread &) {
+        // Rail guests are Android/ELF only: the iOS dyld bootstrap
+        // holds the shared-region mutex across work that contains rail
+        // yield points, which would deadlock the host under an armed
+        // rail. Schedule sensitivity comes from the chain-wired
+        // mailboxes and signal pokes: whether a peer's message has
+        // landed when a guest polls depends on the interleaving.
+        for (std::size_t i = 0; i < n; ++i)
+            admit(i, Persona::Android);
+        kernel::SchedRail &rail = kernel::SchedRail::global();
+        kernel::SchedOptions sopt;
+        sopt.policy = kernel::SchedPolicy::Random;
+        sopt.seed = seed;
+        rail.arm(sopt);
+        for (auto &up : sessions_) {
+            Session *raw = up.get();
+            rail.spawn(raw->proc->name().c_str(),
+                       [this, raw] { drive(*raw); });
+        }
+        kernel::SchedResult res = rail.run();
+        rail.disarm();
 
-    if (opts_.storm) {
-        FaultRail &frail = FaultRail::global();
-        frail.disarmAll();
-        frail.resetCounters();
-        frail.setTracking(true);
-        std::uint64_t idx = 0;
-        for (const char *site : kFleetSites)
-            frail.armProbability(site, opts_.stormProbability,
-                                 seed * 997 + idx++);
-    }
-
-    std::vector<std::uint64_t> series(n, 0);
-    std::vector<kernel::Pid> pids(n, -1);
-    std::vector<std::string> names;
-    names.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        names.push_back("fleet.rail" + std::to_string(i));
-
-    kernel::SchedRail &rail = kernel::SchedRail::global();
-    kernel::SchedOptions sopt;
-    sopt.policy = kernel::SchedPolicy::Random;
-    sopt.seed = seed;
-    rail.arm(sopt);
-    for (std::size_t i = 0; i < n; ++i) {
-        rail.spawn(names[i].c_str(), [this, i, &series, &pids] {
-            Process &proc = k_.createProcess(
-                "fleet.rail" + std::to_string(i), Persona::Android,
-                nullptr);
-            pids[i] = proc.pid();
-            Thread &t = proc.mainThread();
-            // Only ProcessExit is caught: a SchedRailAbort must reach
-            // the rail's guest wrapper or deadlock recovery breaks.
-            try {
-                ThreadScope scope(t);
-                SyscallResult r =
-                    k_.execLoad(t, kAndroidAppPath, {kAndroidAppPath});
-                if (!r.ok())
-                    k_.sysExit(t, 127);
-                if (proc.image().entry)
-                    proc.image().entry(t);
-                int pokes = 0;
-                kernel::SignalAction act;
-                act.kind = kernel::SignalAction::Kind::Handler;
-                act.fn = [&pokes](int, const kernel::SigInfo &) {
-                    ++pokes;
-                };
-                k_.sysSigaction(t, kernel::lsig::USR1, act);
-                xnu::mach_port_name_t port = xnu::MACH_PORT_NULL;
-                {
-                    PersonaGuard diplomat(sys_.personaManager(), t,
-                                          Persona::Ios);
-                    k_.trap(t, TrapClass::XnuMach,
-                            xnu::machno::PORT_ALLOCATE,
-                            makeArgs(static_cast<std::uint64_t>(
-                                         xnu::PortRight::Receive),
-                                     static_cast<void *>(&port)));
-                }
-                binfmt::DexFile dex;
-                buildSumDex(dex);
-                android::TranslationCache cache;
-                android::DalvikVm vm(sys_.profile());
-                vm.setTranslationCache(&cache);
-                vm.setJitEnabled(true);
-                vm.setJitWarmup(0);
-                for (int round = 0; round < 4; ++round)
-                    railRound(t, i, round, port, dex, vm);
-                k_.sysExit(t, 0);
-            } catch (const ProcessExit &) {
-            }
-            series[i] = t.clock().now();
-        });
-    }
-    kernel::SchedResult res = rail.run();
-    rail.disarm();
-
-    report_.railCompleted = res.completed;
-    report_.railDeadlocked = res.deadlocked;
-    report_.waves = res.decisions;
-    report_.sessionsStarted = n;
-    report_.sessionsCompleted = res.completed ? n : 0;
-    if (res.deadlocked)
+        report_.railCompleted = res.completed;
+        report_.railDeadlocked = res.deadlocked;
+        report_.waves = res.decisions;
         for (const std::string &b : res.blockedThreads)
             report_.failureTraces.push_back("rail deadlock: " + b);
-
-    if (opts_.storm) {
-        FaultRail &frail = FaultRail::global();
-        report_.faultTrips = frail.totalTrips();
-        frail.disarmAll();
-        frail.setTracking(false);
-        frail.resetCounters();
-    }
-
-    if (res.completed) {
-        for (kernel::Pid pid : pids)
-            if (pid > 0)
-                k_.reapProcess(pid);
-    }
-    k_.sweepReaped();
-
-    report_.railSeries = series;
-    std::uint64_t maxNs = 0;
-    for (std::uint64_t ns : series)
-        maxNs = std::max(maxNs, ns);
-    report_.virtualDurationNs = maxNs;
-    report_.after = takeLeakSnapshot(sys_);
-    if (res.completed) {
-        report_.auditClean = leakAuditClean(report_.before, report_.after,
-                                            &report_.auditDetail);
-    } else {
-        report_.auditClean = false;
-        report_.auditDetail =
-            "rail episode aborted; poisoned guests left in place";
-    }
-    foldCounters();
-    report_.hostMs =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - hostStart)
-            .count();
-    return report_;
+        // An aborted guest's process never exits; the audit counts it.
+        for (auto &up : sessions_) {
+            std::uint64_t ns = up->proc->mainThread().clock().now();
+            report_.railSeries.push_back(ns);
+            report_.virtualDurationNs =
+                std::max(report_.virtualDurationNs, ns);
+        }
+    });
 }
 
 } // namespace

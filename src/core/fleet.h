@@ -15,13 +15,15 @@
  * post-soak leak audit asserting the process table, Mach port zone,
  * VmObject population, and zalloc zones all return to baseline.
  *
- * Two execution modes share the workload:
+ * Two execution modes share one session state machine and one
+ * bracket (warm-up, before-snapshot, init reaper, storm, reap,
+ * after-snapshot, audit):
  *  - run(): the scale mode — sessions step in waves over the
  *    ExecutorPool, optionally under composed FaultRail storms and
  *    driver-side kill storms;
- *  - runRailed(): the determinism mode — a handful of sessions run as
- *    SchedRail guests under a seeded random schedule; same seed, same
- *    virtual-time series, bit for bit.
+ *  - runRailed(): the determinism mode — a handful of sessions drive
+ *    themselves to exit as SchedRail guests under a seeded random
+ *    schedule; same seed, same virtual-time series, bit for bit.
  */
 
 #ifndef CIDER_CORE_FLEET_H
@@ -50,7 +52,6 @@ struct FleetOptions
     int rounds = 8;
     /** Arm FaultRail probability storms + driver kill storms. */
     bool storm = false;
-    double stormProbability = 0.02;
     /** Fraction of live sessions the post-wave kill storm targets. */
     double killStormFraction = 0.02;
     /** Host worker threads for the ExecutorPool (0 = one per core). */
@@ -62,19 +63,6 @@ struct FleetOptions
      * brings up the NIC family (the storm arms nic.* sites too).
      */
     bool netBurst = false;
-
-    /// @{ Backpressure: admission defers while the executor queue or
-    /// the Mach port zone sit above these high-water marks.
-    std::uint64_t queueHighWater = 4096;
-    std::uint64_t portZoneHighWater = 1u << 20;
-    /// @}
-
-    /// @{ Bounded retry on transient failures (ENOMEM/EAGAIN,
-    /// KERN_RESOURCE_SHORTAGE/NO_SPACE, MACH timeouts). Backoff is
-    /// exponential in virtual time: backoffNs << attempt.
-    int retryLimit = 4;
-    std::uint64_t retryBackoffNs = 2'000;
-    /// @}
 
     /// @{ Hung-session watchdog: a step consuming more virtual time
     /// than the budget draws a warning; warnLimit warnings escalate
@@ -155,7 +143,7 @@ struct FleetReport
     /// @{ Robustness machinery counters.
     std::uint64_t admissionDeferred = 0; ///< admission waved off
     std::uint64_t retriesTransient = 0;  ///< retried transient errors
-    std::uint64_t retriesExhausted = 0;  ///< gave up after retryLimit
+    std::uint64_t retriesExhausted = 0;  ///< gave up retrying
     std::uint64_t permanentErrors = 0;
     std::size_t watchdogWarnings = 0;
     std::size_t watchdogKills = 0;
@@ -214,10 +202,11 @@ class FleetSoak
     FleetReport run();
 
     /**
-     * The determinism mode: @p n sessions (clamped to 8) run as
-     * SchedRail guests under a seeded random schedule, composed with
-     * the FaultRail storm when opts.storm is set. Two calls with the
-     * same seed produce identical railSeries.
+     * The determinism mode: @p n Android sessions (clamped to 1..8),
+     * children of the same init reaper as the scale mode's, each drive
+     * themselves to exit as a SchedRail guest under a seeded random
+     * schedule, composed with the FaultRail storm when opts.storm is
+     * set. Two calls with the same seed produce identical railSeries.
      */
     FleetReport runRailed(std::uint64_t seed, std::size_t n = 6);
 

@@ -422,7 +422,10 @@ void InetSocket::closed()
         if (state_ == State::Listening) {
             orphans.assign(pendingAccept_.begin(),
                            pendingAccept_.end());
+            orphans.insert(orphans.end(), halfOpen_.begin(),
+                           halfOpen_.end());
             pendingAccept_.clear();
+            halfOpen_.clear();
             state_ = State::Dead;
         }
         cv_.notify_all();
@@ -431,7 +434,10 @@ void InetSocket::closed()
     case State::Listening:
         stack_.unbindListener(*this);
         // Connections nobody will ever accept get aborted, as a real
-        // listener teardown RSTs its accept queue.
+        // listener teardown RSTs its accept queue; so do half-open
+        // ones, which would otherwise sit in the connection table for
+        // good once the handshake's last ACK and the peer's FIN are
+        // lost.
         for (const InetSocketPtr &child : orphans)
             child->abort();
         break;
@@ -754,8 +760,8 @@ InetSocketPtr InetSocket::handleSyn(const NetFrame &frame,
     std::lock_guard<std::mutex> lk(mu_);
     refused = false;
     if (state_ != State::Listening ||
-        static_cast<int>(pendingAccept_.size()) + synRcvdCount_ >=
-            backlog_) {
+        pendingAccept_.size() + halfOpen_.size() >=
+            static_cast<std::size_t>(backlog_)) {
         refused = true;
         return nullptr;
     }
@@ -768,37 +774,31 @@ InetSocketPtr InetSocket::handleSyn(const NetFrame &frame,
     child->state_ = State::SynRcvd;
     child->peerWindow_ = frame.window;
     child->listener_ = weak_from_this();
-    child->countedInSynBacklog_ = true;
-    ++synRcvdCount_;
+    halfOpen_.push_back(child);
     return child;
 }
 
-bool InetSocket::consumeSynBacklogSlot()
+void InetSocket::childAborted(const InetSocketPtr &child)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    if (!countedInSynBacklog_)
-        return false;
-    countedInSynBacklog_ = false;
-    return true;
-}
-
-void InetSocket::childAborted()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    if (synRcvdCount_ > 0)
-        --synRcvdCount_;
+    std::erase(halfOpen_, child);
 }
 
 void InetSocket::enqueuePending(const InetSocketPtr &child)
 {
-    child->consumeSynBacklogSlot();
-    std::lock_guard<std::mutex> lk(mu_);
-    if (state_ != State::Listening)
-        return; // listener died mid-handshake; nobody will accept
-    if (synRcvdCount_ > 0)
-        --synRcvdCount_;
-    pendingAccept_.push_back(child);
-    cv_.notify_all();
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (state_ == State::Listening) {
+            std::erase(halfOpen_, child);
+            pendingAccept_.push_back(child);
+            cv_.notify_all();
+            return;
+        }
+    }
+    // Promoted while its listener was closing (the frame completing
+    // the handshake came in on another host thread): nobody will
+    // accept it.
+    child->abort();
 }
 
 std::string InetSocket::describe() const
@@ -994,9 +994,8 @@ void NetStack::input(const NetFrame &frame)
         if (verdict == InetSocket::InputVerdict::ConnDead) {
             eraseConn(*sock);
             // A child RST before promotion frees its backlog slot.
-            if (sock->consumeSynBacklogSlot())
-                if (InetSocketPtr l = sock->listener_.lock())
-                    l->childAborted();
+            if (InetSocketPtr l = sock->listener_.lock())
+                l->childAborted(sock);
         }
         if (verdict == InetSocket::InputVerdict::Promoted) {
             if (InetSocketPtr l = sock->listener_.lock())
@@ -1026,12 +1025,12 @@ void NetStack::input(const NetFrame &frame)
             InetSocketPtr child =
                 listener->handleSyn(frame, refused);
             if (child) {
-                {
-                    std::lock_guard<std::mutex> lk(mu_);
-                    conns_[ConnKey{child->localAddr_,
-                                   child->remoteAddr_,
-                                   child->localPort_,
-                                   child->remotePort_}] = child;
+                registerConn(child);
+                // The listener closed in between and aborted the child
+                // before it was registered: drop the stale entry.
+                if (child->state() == InetSocket::State::Dead) {
+                    eraseConn(*child);
+                    return;
                 }
                 NetFrame synack = child->frameLocked(
                     netflag::SYN | netflag::ACK, 0);

@@ -238,11 +238,11 @@ class InetSocket : public OpenFile,
     void dgramInput(const NetFrame &frame);
     /** Listener side of a SYN: create a SynRcvd child or refuse. */
     InetSocketPtr handleSyn(const NetFrame &frame, bool &refused);
+    /** Hand a promoted child to accept(); abort it when the listener
+     *  has closed, since nobody will ever accept it. */
     void enqueuePending(const InetSocketPtr &child);
-    /** True exactly once for a child that died before promotion, so
-     *  the listener's SYN-backlog slot can be returned. */
-    bool consumeSynBacklogSlot();
-    void childAborted();
+    /** A half-open child died before promotion: free its backlog slot. */
+    void childAborted(const InetSocketPtr &child);
 
     // All *Locked helpers require mu_ held.
     void buildSegmentsLocked(std::vector<NetFrame> &out);
@@ -297,10 +297,11 @@ class InetSocket : public OpenFile,
 
     // --- listener ---
     int backlog_ = 0;
-    int synRcvdCount_ = 0;
+    /** Passive children still in SynRcvd; each holds a backlog slot
+     *  and is aborted if the listener closes first. */
+    std::vector<InetSocketPtr> halfOpen_;
     std::deque<InetSocketPtr> pendingAccept_;
     std::weak_ptr<InetSocket> listener_; // set on passive children
-    bool countedInSynBacklog_ = false;
 
     // --- datagram ---
     std::deque<Dgram> dgrams_;

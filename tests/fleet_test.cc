@@ -3,9 +3,9 @@
  * FleetSoak tests: the kill-storm teardown regression (no zombies, no
  * leaked ports/VmObjects/zone elements after storms), admission
  * backpressure, bounded retry, watchdog escalation, the railed
- * determinism contract, the /proc/cider/fleet surface (per system,
- * beside every other /proc/cider node), and the percentile/audit/SLO
- * helpers.
+ * determinism contract and ledger, the /proc/cider/fleet surface (per
+ * system, beside every other /proc/cider node), and the
+ * percentile/audit/SLO helpers.
  */
 
 #include <gtest/gtest.h>
@@ -329,10 +329,27 @@ TEST(FleetSoakTest, DifferentRailSeedsDiverge)
     }
     EXPECT_TRUE(a.railCompleted);
     EXPECT_TRUE(b.railCompleted);
-    // Different schedules interleave the shared semaphore differently;
-    // a bit-identical series across seeds would mean the rail is not
-    // actually steering.
+    // Different schedules decide whether a chain peer's Mach message
+    // or signal poke has landed when a guest polls; a bit-identical
+    // series across seeds would mean the rail is not actually steering.
     EXPECT_NE(a.railSeries, b.railSeries);
+}
+
+TEST(FleetSoakTest, RailGuestsAreSessionsReapedByInit)
+{
+    CiderSystem sys(ciderOptions());
+    FleetSoak soak(sys, smallFleet());
+    FleetReport report = soak.runRailed(42, 3);
+
+    EXPECT_TRUE(report.railCompleted);
+    EXPECT_EQ(report.sessionsStarted, 3u);
+    EXPECT_EQ(report.sessionsCompleted, 3u);
+    EXPECT_EQ(report.sessionsCompleted + report.sessionsKilled +
+                  report.sessionsFailed,
+              report.sessionsStarted);
+    EXPECT_EQ(report.chldReceived, 3u);
+    EXPECT_EQ(report.subsystems["launch"].ops, 3u);
+    EXPECT_TRUE(report.auditClean) << report.auditDetail;
 }
 
 TEST(FleetSoakTest, NetBurstMixPassesLeakAuditAndRecordsTraffic)

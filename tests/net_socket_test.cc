@@ -258,6 +258,34 @@ TEST_F(NetSocketTest, CloseWithUnreadDataResetsThePeer)
     kernel_.sysClose(*thread_, cfd);
 }
 
+TEST_F(NetSocketTest, ListenerCloseAbortsHalfOpenChild)
+{
+    const std::uint64_t baseline = kernel_.net().stats().socketsLive;
+    NetPort port = nextPort();
+    Fd lfd = streamFd();
+    int one = 1;
+    ASSERT_TRUE(kernel_.sysIoctl(*thread_, lfd, netio::FIONBIO, &one).ok());
+    ASSERT_TRUE(kernel_.sysNetBind(*thread_, lfd, 0, port).ok());
+    ASSERT_TRUE(kernel_.sysListen(*thread_, lfd, 4).ok());
+
+    // SYN, SYNACK, then the wire eats the handshake's final ACK: the
+    // client is connected, the passive child stays half-open.
+    FaultRail::global().armNth("nic.drop", 3);
+    Fd cfd = streamFd();
+    ASSERT_TRUE(kernel_.sysNetConnect(*thread_, cfd, 1, port).ok());
+    SyscallResult ar = kernel_.sysAccept(*thread_, lfd);
+    EXPECT_FALSE(ar.ok());
+    EXPECT_EQ(ar.err, lnx::AGAIN);
+
+    // The client's FIN is lost too, so nothing ever promotes the child.
+    FaultRail::global().armNth("nic.drop", 1);
+    kernel_.sysClose(*thread_, cfd);
+    FaultRail::global().disarmAll();
+    kernel_.sysClose(*thread_, lfd);
+
+    EXPECT_EQ(kernel_.net().stats().socketsLive, baseline);
+}
+
 // ---------------------------------------------------------------------------
 // Readiness: select and kqueue over inet fds.
 
