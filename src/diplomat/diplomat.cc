@@ -25,15 +25,33 @@ Diplomat::Diplomat(std::string symbol_name, Resolver resolver)
 const binfmt::Symbol *
 Diplomat::resolveOnce(binfmt::UserEnv &env)
 {
-    if (cached_)
-        return cached_;
+    if (const binfmt::Symbol *sym =
+            cached_.load(std::memory_order_acquire))
+        return sym;
+    std::lock_guard<std::mutex> lock(resolveMu_);
+    // A racing first caller may have resolved it while we waited; it
+    // paid for the load. A failed resolution leaves cached_ null, so
+    // the next call retries (and pays) again.
+    if (const binfmt::Symbol *sym =
+            cached_.load(std::memory_order_relaxed))
+        return sym;
     // Step 1: load the domestic library via the cross-compiled ELF
     // loader and remember the entry point.
     charge(env.kernel.profile().cyclesToNs(kFirstLoadCycles));
-    cached_ = resolver_(env);
-    if (!cached_)
+    const binfmt::Symbol *sym = resolver_(env);
+    if (!sym)
         warn("diplomat ", name_, ": domestic symbol not found");
-    return cached_;
+    cached_.store(sym, std::memory_order_release);
+    return sym;
+}
+
+DiplomatStats
+Diplomat::stats() const
+{
+    DiplomatStats s;
+    s.calls = calls_.load(std::memory_order_relaxed);
+    s.batchedCalls = batchedCalls_.load(std::memory_order_relaxed);
+    return s;
 }
 
 void
@@ -66,7 +84,7 @@ Diplomat::convertErrno(binfmt::UserEnv &env)
 binfmt::Value
 Diplomat::call(binfmt::UserEnv &env, std::vector<binfmt::Value> &args)
 {
-    ++stats_.calls;
+    calls_.fetch_add(1, std::memory_order_relaxed);
     kernel::Persona caller = env.thread.persona();
 
     const binfmt::Symbol *sym = resolveOnce(env); // step 1
@@ -89,7 +107,7 @@ binfmt::Value
 Diplomat::callBatched(binfmt::UserEnv &env,
                       std::vector<std::vector<binfmt::Value>> &batch)
 {
-    stats_.batchedCalls += batch.size();
+    batchedCalls_.fetch_add(batch.size(), std::memory_order_relaxed);
     kernel::Persona caller = env.thread.persona();
 
     const binfmt::Symbol *sym = resolveOnce(env);
@@ -161,8 +179,10 @@ std::uint64_t
 DiplomaticLibrary::totalCalls() const
 {
     std::uint64_t n = 0;
-    for (const auto &d : diplomats_)
-        n += d->stats().calls + d->stats().batchedCalls;
+    for (const auto &d : diplomats_) {
+        DiplomatStats s = d->stats();
+        n += s.calls + s.batchedCalls;
+    }
     return n;
 }
 

@@ -25,6 +25,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,7 +66,7 @@ class Diplomat
                               std::vector<std::vector<binfmt::Value>> &batch);
 
     const std::string &name() const { return name_; }
-    const DiplomatStats &stats() const { return stats_; }
+    DiplomatStats stats() const;
 
   private:
     const binfmt::Symbol *resolveOnce(binfmt::UserEnv &env);
@@ -74,9 +75,16 @@ class Diplomat
 
     std::string name_;
     Resolver resolver_;
-    /** Step 1's "locally-scoped static variable". */
-    const binfmt::Symbol *cached_ = nullptr;
-    DiplomatStats stats_;
+    /**
+     * Step 1's "locally-scoped static variable". One diplomat serves
+     * every thread of the system: the resolved entry point is read
+     * without a lock, and resolveMu_ makes the first callers resolve
+     * (and pay for the load) exactly once.
+     */
+    std::atomic<const binfmt::Symbol *> cached_{nullptr};
+    std::mutex resolveMu_;
+    std::atomic<std::uint64_t> calls_{0};
+    std::atomic<std::uint64_t> batchedCalls_{0};
 };
 
 /**

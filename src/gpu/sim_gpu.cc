@@ -1,19 +1,124 @@
 #include "gpu/sim_gpu.h"
 
+#include <algorithm>
+
 #include "base/cost_clock.h"
 #include "base/logging.h"
 
 namespace cider::gpu {
 
+namespace {
+
+/**
+ * A summary whose runs cover more than 1/kDenseDamageDenominator of
+ * its buffer becomes unknown: past that, walking the runs costs about
+ * as much as a full fill or copy.
+ */
+constexpr std::size_t kDenseDamageDenominator = 8;
+
+} // namespace
+
+GraphicsBuffer::GraphicsBuffer(std::uint32_t id, std::uint32_t width,
+                               std::uint32_t height)
+    : id(id), width(width), height(height)
+{
+    pixels.px_.assign(static_cast<std::size_t>(width) * height, 0);
+    setSolid(0);
+}
+
+std::span<std::uint32_t>
+GraphicsBuffer::mutablePixels()
+{
+    forgetDamage();
+    return pixels.px_;
+}
+
+void
+GraphicsBuffer::setSolid(std::uint32_t color)
+{
+    known_ = true;
+    color_ = color;
+    runs_.clear();
+    runPixels_ = 0;
+}
+
+void
+GraphicsBuffer::forgetDamage()
+{
+    known_ = false;
+    runs_.clear();
+    runPixels_ = 0;
+}
+
+void
+GraphicsBuffer::fill(std::uint32_t color)
+{
+    std::vector<std::uint32_t> &px = pixels.px_;
+    if (known_ && color_ == color) {
+        for (const Run &r : runs_)
+            for (std::size_t n = 0, i = r.first; n < r.count;
+                 ++n, i += r.stride)
+                px[i] = color;
+    } else {
+        std::fill(px.begin(), px.end(), color);
+    }
+    setSolid(color);
+}
+
+void
+GraphicsBuffer::xorPattern(std::size_t stride)
+{
+    std::vector<std::uint32_t> &px = pixels.px_;
+    for (std::size_t i = 0; i < px.size(); i += stride)
+        px[i] ^= 0x00ffffff & (0x9e3779b9u + i);
+    if (!known_ || px.empty())
+        return;
+    std::size_t count = (px.size() - 1) / stride + 1;
+    runPixels_ += count;
+    if (runPixels_ > px.size() / kDenseDamageDenominator)
+        forgetDamage();
+    else
+        runs_.push_back({0, stride, count});
+}
+
+void
+GraphicsBuffer::copyFrom(const GraphicsBuffer &src)
+{
+    std::vector<std::uint32_t> &dst = pixels.px_;
+    const std::vector<std::uint32_t> &from = src.pixels.px_;
+    if (dst.size() != from.size()) {
+        std::copy_n(from.begin(), std::min(dst.size(), from.size()),
+                    dst.begin());
+        forgetDamage();
+        return;
+    }
+    if (known_ && src.known_ && color_ == src.color_) {
+        // Outside both buffers' runs every pixel is the shared colour
+        // already; only the union of the runs can differ.
+        auto copy_runs = [&](const std::vector<Run> &runs) {
+            for (const Run &r : runs)
+                for (std::size_t n = 0, i = r.first; n < r.count;
+                     ++n, i += r.stride)
+                    dst[i] = from[i];
+        };
+        copy_runs(runs_);
+        copy_runs(src.runs_);
+    } else {
+        // Element-wise: the vector itself (its size) is never written
+        // after construction, so it can be read without the GPU lock.
+        std::copy(from.begin(), from.end(), dst.begin());
+    }
+    known_ = src.known_;
+    color_ = src.color_;
+    runs_ = src.runs_;
+    runPixels_ = src.runPixels_;
+}
+
 BufferPtr
 BufferManager::create(std::uint32_t width, std::uint32_t height)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    auto buf = std::make_shared<GraphicsBuffer>();
-    buf->id = nextId_++;
-    buf->width = width;
-    buf->height = height;
-    buf->pixels.assign(static_cast<std::size_t>(width) * height, 0);
+    auto buf = std::make_shared<GraphicsBuffer>(nextId_++, width, height);
     buffers_[buf->id] = buf;
     return buf;
 }
@@ -45,11 +150,11 @@ SimGpu::SimGpu(const hw::DeviceProfile &profile) : profile_(profile) {}
 void
 SimGpu::submit(const std::vector<GpuCommand> &cmds)
 {
+    std::lock_guard<std::mutex> lock(mu_);
     for (const GpuCommand &cmd : cmds) {
         charge(profile_.gpuPerCommandNs);
         execute(cmd);
     }
-    std::lock_guard<std::mutex> lock(mu_);
     stats_.commands += cmds.size();
 }
 
@@ -74,9 +179,7 @@ SimGpu::execute(const GpuCommand &cmd)
           if (buf) {
               charge(buf->pixels.size() * profile_.gpuPerFragmentPs /
                      1000);
-              std::fill(buf->pixels.begin(), buf->pixels.end(),
-                        clearColor_);
-              std::lock_guard<std::mutex> lock(mu_);
+              buf->fill(clearColor_);
               stats_.fragments += buf->pixels.size();
           }
           break;
@@ -92,16 +195,11 @@ SimGpu::execute(const GpuCommand &cmd)
               charge(fragments * profile_.gpuPerFragmentPs / 1000);
               // Touch a deterministic pixel pattern so tests can see
               // that the draw landed.
-              std::size_t stride =
-                  std::max<std::size_t>(1, buf->pixels.size() /
-                                               (fragments + 1));
-              for (std::size_t i = 0; i < buf->pixels.size();
-                   i += stride)
-                  buf->pixels[i] ^= 0x00ffffff & (0x9e3779b9u + i);
+              buf->xorPattern(std::max<std::size_t>(
+                  1, buf->pixels.size() / (fragments + 1)));
           } else {
               charge(fragments * profile_.gpuPerFragmentPs / 1000);
           }
-          std::lock_guard<std::mutex> lock(mu_);
           stats_.vertices += vertices;
           stats_.fragments += fragments;
           break;
@@ -109,16 +207,12 @@ SimGpu::execute(const GpuCommand &cmd)
       case GpuOp::BindTexture:
       case GpuOp::UseProgram:
       case GpuOp::SetUniform:
-        break; // state changes: command cost only
+      case GpuOp::FenceInsert:
+        break; // state changes and fence inserts: command cost only
       case GpuOp::TexImage2D:
         // Texture upload: per-texel transfer.
         charge(cmd.a * cmd.b * profile_.gpuPerFragmentPs / 1000);
         break;
-      case GpuOp::FenceInsert: {
-          std::lock_guard<std::mutex> lock(mu_);
-          fences_[cmd.a] = true;
-          break;
-      }
       case GpuOp::FenceWait: {
           // The Cider prototype's broken fence support stalls the
           // pipeline; model it as several extra fence round trips.
@@ -126,15 +220,12 @@ SimGpu::execute(const GpuCommand &cmd)
           if (fenceBug_)
               stall *= 6;
           charge(stall);
-          std::lock_guard<std::mutex> lock(mu_);
           ++stats_.fenceWaits;
           break;
       }
-      case GpuOp::Present: {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.presents;
-          break;
-      }
+      case GpuOp::Present:
+        ++stats_.presents;
+        break;
     }
 }
 
@@ -186,12 +277,8 @@ GpuDevice::ioctl(kernel::Thread &, std::uint64_t req, void *arg)
 
 FramebufferDevice::FramebufferDevice(SimGpu &gpu, std::uint32_t width,
                                      std::uint32_t height)
-    : Device("fb0", "framebuffer"), gpu_(gpu)
+    : Device("fb0", "framebuffer"), gpu_(gpu), front_(0, width, height)
 {
-    front_.id = 0;
-    front_.width = width;
-    front_.height = height;
-    front_.pixels.assign(static_cast<std::size_t>(width) * height, 0);
     setProperty("width", std::to_string(width));
     setProperty("height", std::to_string(height));
 }
@@ -208,9 +295,8 @@ FramebufferDevice::ioctl(kernel::Thread &, std::uint64_t req, void *arg)
               return kernel::SyscallResult::failure(kernel::lnx::INVAL);
           charge(std::min(front_.pixels.size(), buf->pixels.size()) *
                  gpu_.profile().gpuPerFragmentPs / 1000);
-          std::size_t n =
-              std::min(front_.pixels.size(), buf->pixels.size());
-          std::copy_n(buf->pixels.begin(), n, front_.pixels.begin());
+          std::lock_guard<std::mutex> lock(gpu_.mu_);
+          front_.copyFrom(*buf);
           ++presents_;
           return kernel::SyscallResult::success();
       }
@@ -225,6 +311,13 @@ FramebufferDevice::ioctl(kernel::Thread &, std::uint64_t req, void *arg)
       default:
         return kernel::SyscallResult::failure(kernel::lnx::INVAL);
     }
+}
+
+std::uint64_t
+FramebufferDevice::presentCount() const
+{
+    std::lock_guard<std::mutex> lock(gpu_.mu_);
+    return presents_;
 }
 
 } // namespace cider::gpu

@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "hw/device_profile.h"
@@ -31,15 +32,91 @@
 
 namespace cider::gpu {
 
-/** A shareable graphics memory buffer (gralloc / IOSurface backing). */
+/**
+ * A buffer's pixels, read-only. The GPU writes them; any other writer
+ * goes through GraphicsBuffer::mutablePixels().
+ */
+class PixelArray
+{
+  public:
+    std::size_t size() const { return px_.size(); }
+    const std::uint32_t &operator[](std::size_t i) const { return px_[i]; }
+    std::vector<std::uint32_t>::const_iterator begin() const
+    {
+        return px_.begin();
+    }
+    std::vector<std::uint32_t>::const_iterator end() const
+    {
+        return px_.end();
+    }
+
+  private:
+    friend struct GraphicsBuffer;
+    std::vector<std::uint32_t> px_;
+};
+
+/**
+ * A shareable graphics memory buffer (gralloc / IOSurface backing).
+ *
+ * Besides its pixels it carries a host-only damage summary: either
+ * unknown, or a solid colour plus the strided runs written since that
+ * colour was filled, every pixel outside the runs being the colour.
+ * It lets a clear and a present touch only the pixels a frame changed
+ * (DESIGN.md section 16); charges never read it.
+ */
 struct GraphicsBuffer
 {
+    GraphicsBuffer() = default;
+    /** A @p width x @p height buffer of zero pixels. */
+    GraphicsBuffer(std::uint32_t id, std::uint32_t width,
+                   std::uint32_t height);
+
     std::uint32_t id = 0;
     std::uint32_t width = 0;
     std::uint32_t height = 0;
-    std::vector<std::uint32_t> pixels;
+    /** Read-only; see mutablePixels(). */
+    PixelArray pixels;
 
     std::size_t sizeBytes() const { return pixels.size() * 4; }
+
+    /**
+     * Writable pixels for a writer that bypasses the GPU. Marks the
+     * damage summary unknown, so the next clear or present of this
+     * buffer takes the full path. Do not hold the span across GPU
+     * commands on the buffer.
+     */
+    std::span<std::uint32_t> mutablePixels();
+
+  private:
+    friend class SimGpu;
+    friend class FramebufferDevice;
+
+    /** Pixels first, first + stride, ... (count of them). */
+    struct Run
+    {
+        std::size_t first;
+        std::size_t stride;
+        std::size_t count;
+    };
+
+    /** GpuOp::Clear: every pixel becomes @p color. */
+    void fill(std::uint32_t color);
+    /** GpuOp::DrawArrays: XOR the draw pattern into every stride-th
+     *  pixel. */
+    void xorPattern(std::size_t stride);
+    /** Present: this buffer's pixels become @p src's (the first
+     *  min(size) of them when the sizes differ). */
+    void copyFrom(const GraphicsBuffer &src);
+    void setSolid(std::uint32_t color);
+    void forgetDamage();
+
+    /// @{ Damage summary. When known_, every pixel outside runs_ is
+    /// color_; runPixels_ sums the runs' counts.
+    bool known_ = false;
+    std::uint32_t color_ = 0;
+    std::vector<Run> runs_;
+    std::size_t runPixels_ = 0;
+    /// @}
 };
 
 using BufferPtr = std::shared_ptr<GraphicsBuffer>;
@@ -120,13 +197,20 @@ class SimGpu
     const hw::DeviceProfile &profile() const { return profile_; }
 
   private:
+    friend class FramebufferDevice;
+
     void execute(const GpuCommand &cmd);
 
     const hw::DeviceProfile &profile_;
     BufferManager buffers_;
+    /**
+     * Held across each submitted command stream and each framebuffer
+     * present. Guards stats_, clearColor_, the pixels and damage
+     * summaries those write, and FramebufferDevice's front buffer and
+     * present count.
+     */
     mutable std::mutex mu_;
     GpuStats stats_;
-    std::map<std::uint64_t, bool> fences_;
     std::uint32_t clearColor_ = 0xff000000;
     bool fenceBug_ = false;
 };
@@ -179,14 +263,14 @@ class FramebufferDevice : public kernel::Device
                                 void *arg) override;
 
     const GraphicsBuffer &frontBuffer() const { return front_; }
-    std::uint64_t presentCount() const { return presents_; }
+    std::uint64_t presentCount() const;
     std::uint32_t width() const { return front_.width; }
     std::uint32_t height() const { return front_.height; }
 
   private:
     SimGpu &gpu_;
-    GraphicsBuffer front_;
-    std::uint64_t presents_ = 0;
+    GraphicsBuffer front_;        ///< guarded by gpu_.mu_
+    std::uint64_t presents_ = 0;  ///< guarded by gpu_.mu_
 };
 
 /** Argument block for FramebufferDevice::kIoctlGetInfo. */

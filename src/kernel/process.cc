@@ -30,12 +30,12 @@ void
 Process::terminate(int code, std::uint64_t vtime)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    if (state_ != State::Running)
+    if (state_.load(std::memory_order_relaxed) != State::Running)
         return;
     fds_.closeAll();
     exitCode_ = code;
     exitVtime_ = vtime;
-    state_ = State::Zombie;
+    state_.store(State::Zombie, std::memory_order_release);
     exitCv_.notify_all();
 }
 
@@ -43,7 +43,9 @@ void
 Process::waitUntilZombie()
 {
     std::unique_lock<std::mutex> lock(mu_);
-    exitCv_.wait(lock, [this] { return state_ != State::Running; });
+    exitCv_.wait(lock, [this] {
+        return state_.load(std::memory_order_relaxed) != State::Running;
+    });
 }
 
 } // namespace cider::kernel

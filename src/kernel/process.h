@@ -6,6 +6,7 @@
 #ifndef CIDER_KERNEL_PROCESS_H
 #define CIDER_KERNEL_PROCESS_H
 
+#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <memory>
@@ -87,7 +88,7 @@ class Process
         return threads_;
     }
 
-    State state() const { return state_; }
+    State state() const { return state_.load(std::memory_order_acquire); }
     int exitCode() const { return exitCode_; }
     /** Virtual time at which the process exited (for wait). */
     std::uint64_t exitVirtualTime() const { return exitVtime_; }
@@ -95,7 +96,10 @@ class Process
     /** Kernel-side exit: close fds, flip to Zombie, wake waiters. */
     void terminate(int code, std::uint64_t vtime);
 
-    void markReaped() { state_ = State::Reaped; }
+    void markReaped()
+    {
+        state_.store(State::Reaped, std::memory_order_release);
+    }
 
     /** Block the calling host thread until this process is a zombie. */
     void waitUntilZombie();
@@ -114,7 +118,9 @@ class Process
 
     std::mutex mu_;
     std::condition_variable exitCv_;
-    State state_ = State::Running;
+    /** Release-stored by terminate (under mu_) and markReaped; read
+     *  without mu_ by signal delivery (sysKill, notifyParentExit). */
+    std::atomic<State> state_{State::Running};
     int exitCode_ = 0;
     std::uint64_t exitVtime_ = 0;
 };

@@ -2,10 +2,15 @@
  * @file
  * Diplomatic function tests: the nine-step arbitration, persona
  * restoration, errno conversion into the foreign TLS, first-call
- * caching, batching, and whole-library wrapping.
+ * caching (once, across racing threads), batching, and whole-library
+ * wrapping.
  */
 
 #include <gtest/gtest.h>
+
+#include <latch>
+#include <string>
+#include <thread>
 
 #include "base/logging.h"
 #include "diplomat/diplomat.h"
@@ -164,6 +169,59 @@ TEST_F(DiplomatTest, WholeLibraryWrappedWhenNoSymbolListGiven)
     std::vector<binfmt::Value> args;
     EXPECT_EQ(binfmt::valueI64(exports.find("b")->fn(*env_, args)), 1);
     EXPECT_EQ(dlib.totalCalls(), 1u);
+}
+
+TEST_F(DiplomatTest, RacingFirstCallersPayOneLoad)
+{
+    // Domestic functions that touch only their caller's state.
+    binfmt::LibraryImage shared;
+    shared.name = "libshared.so";
+    for (const char *sym : {"warm", "twice"})
+        shared.exports.add(sym, [](binfmt::UserEnv &,
+                                   std::vector<binfmt::Value> &args) {
+            return binfmt::Value{binfmt::valueI64(args.at(0)) * 2};
+        });
+    libs_.add(std::move(shared));
+    DiplomaticLibrary dlib(libs_, "libshared.so");
+    Diplomat *warm = dlib.find("warm");
+    Diplomat *twice = dlib.find("twice");
+
+    constexpr int kThreads = 4;
+    constexpr int kCalls = 25;
+    std::vector<kernel::Thread *> callers;
+    for (int i = 0; i < kThreads; ++i)
+        callers.push_back(&kernel_
+                               .createProcess("racer." + std::to_string(i),
+                                              Persona::Ios)
+                               .mainThread());
+
+    std::vector<std::uint64_t> racing(kThreads), steady(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> workers;
+    for (int i = 0; i < kThreads; ++i)
+        workers.emplace_back([&, i] {
+            kernel::ThreadScope scope(*callers[i]);
+            binfmt::UserEnv env{kernel_, *callers[i], {}};
+            std::vector<binfmt::Value> args{std::int64_t{i}};
+            warm->call(env, args); // any per-thread first-call costs
+            start.arrive_and_wait();
+            racing[i] = measureVirtual([&] {
+                for (int n = 0; n < kCalls; ++n)
+                    twice->call(env, args);
+            });
+            steady[i] = measureVirtual([&] { twice->call(env, args); });
+        });
+    for (std::thread &w : workers)
+        w.join();
+
+    EXPECT_EQ(twice->stats().calls, kThreads * (kCalls + 1u));
+    EXPECT_EQ(warm->stats().calls, 1u * kThreads);
+    // Everything the racing calls charged beyond steady-state calls is
+    // one first load (24,000 cycles of dlopen + symbol search).
+    std::uint64_t extra = 0;
+    for (int i = 0; i < kThreads; ++i)
+        extra += racing[i] - kCalls * steady[i];
+    EXPECT_EQ(extra, kernel_.profile().cyclesToNs(24000));
 }
 
 } // namespace

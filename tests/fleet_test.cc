@@ -388,6 +388,44 @@ TEST(FleetSoakTest, NetBurstSurvivesNicStormsWithCleanTeardown)
     EXPECT_EQ(report.after.netSocketsLive, report.before.netSocketsLive);
 }
 
+TEST(FleetSoakTest, OneHostThreadVirtualTimeIsPinned)
+{
+    // One host thread runs every session in one fixed order, so the
+    // soak's virtual results are a pure function of the options. A
+    // change that only cuts host cost must leave these constants alone.
+    FleetOptions opts = smallFleet();
+    opts.hostThreads = 1;
+    opts.netBurst = true;
+    CiderSystem sys(ciderOptions());
+    FleetSoak soak(sys, opts);
+    FleetReport report = soak.run();
+
+    struct Pin
+    {
+        const char *subsystem;
+        std::uint64_t ops, p50, p99;
+    };
+    const Pin kPins[] = {
+        {"dex", 30, 6789, 6789},
+        {"gl", 16, 1351802, 1444107},
+        {"ipc", 62, 6504, 11655},
+        {"launch", 24, 3916582, 3916582},
+        {"net", 62, 180819, 182319},
+        {"psynch", 42, 1088, 1088},
+        {"signal", 33, 5150, 6297},
+        {"vfs", 62, 258111, 334148},
+        {"vm", 62, 1577, 1577},
+    };
+    EXPECT_EQ(report.virtualDurationNs, 52387478u);
+    EXPECT_EQ(report.subsystems.size(), std::size(kPins));
+    for (const Pin &pin : kPins) {
+        const SubsystemStats &s = report.subsystems[pin.subsystem];
+        EXPECT_EQ(s.ops, pin.ops) << pin.subsystem;
+        EXPECT_EQ(s.p50(), pin.p50) << pin.subsystem;
+        EXPECT_EQ(s.p99(), pin.p99) << pin.subsystem;
+    }
+}
+
 TEST(FleetSoakTest, NetGateOnlyAppearsWithTheNetMix)
 {
     std::vector<SloGate> base = defaultSloGates(1.0, false);

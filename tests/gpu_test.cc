@@ -1,10 +1,14 @@
 /**
  * @file
  * Simulated-GPU tests: buffers, command execution, fences (with the
- * Cider fence bug), and the Linux driver ioctl frontends.
+ * Cider fence bug), the Linux driver ioctl frontends, and the
+ * damage-tracked clear and present against a naive pixel model.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
 
 #include "base/cost_clock.h"
 #include "gpu/sim_gpu.h"
@@ -129,7 +133,8 @@ TEST_F(GpuTest, FramebufferPresentCopiesPixels)
     EXPECT_EQ(info.width, 32u);
 
     BufferPtr buf = gpu_.buffers().create(32, 32);
-    std::fill(buf->pixels.begin(), buf->pixels.end(), 0x12345678u);
+    std::span<std::uint32_t> px = buf->mutablePixels();
+    std::fill(px.begin(), px.end(), 0x12345678u);
     ASSERT_TRUE(fb.ioctl(t, FramebufferDevice::kIoctlPresent,
                          reinterpret_cast<void *>(
                              static_cast<std::uintptr_t>(buf->id)))
@@ -143,6 +148,135 @@ TEST_F(GpuTest, FramebufferPresentCopiesPixels)
                            static_cast<std::uintptr_t>(0x7777)))
                   .err,
               kernel::lnx::INVAL);
+}
+
+/**
+ * The pixels a naive GPU would hold: every clear fills, every draw
+ * XORs its stride pattern, every present copies. The damage-tracked
+ * SimGpu must match it after every step.
+ */
+struct NaiveModel
+{
+    std::vector<std::vector<std::uint32_t>> buffers;
+    std::vector<std::uint32_t> front;
+    std::uint32_t clearColor = 0xff000000;
+
+    void
+    draw(std::vector<std::uint32_t> &px, std::uint64_t vertices)
+    {
+        std::uint64_t fragments =
+            std::min<std::uint64_t>(vertices * 24, px.size());
+        std::size_t stride =
+            std::max<std::size_t>(1, px.size() / (fragments + 1));
+        for (std::size_t i = 0; i < px.size(); i += stride)
+            px[i] ^= 0x00ffffff & (0x9e3779b9u + i);
+    }
+
+    void
+    present(const std::vector<std::uint32_t> &px)
+    {
+        std::copy_n(px.begin(), std::min(px.size(), front.size()),
+                    front.begin());
+    }
+};
+
+bool
+samePixels(const PixelArray &got, const std::vector<std::uint32_t> &want)
+{
+    return got.size() == want.size() &&
+           std::equal(got.begin(), got.end(), want.begin());
+}
+
+TEST_F(GpuTest, DamageTrackedComposeMatchesNaiveModel)
+{
+    // Vertex counts from a single-pixel draw to a full-buffer one:
+    // sparse runs that keep a summary, and dense ones that drop it.
+    const std::uint64_t kVertices[] = {0, 1, 2, 6, 6, 20, 300};
+    // A two-colour palette, so clears often repeat the colour.
+    const double kRed[] = {0.0, 1.0};
+
+    for (std::uint32_t seed : {1u, 2u, 3u, 4u}) {
+        std::mt19937 rng(seed);
+        auto pick = [&rng](std::size_t n) {
+            return static_cast<std::size_t>(rng() % n);
+        };
+        FramebufferDevice fb(gpu_, 64, 64);
+        kernel::Thread &t = proc_->mainThread();
+        // Equal to the front buffer, smaller, larger and narrower.
+        std::vector<BufferPtr> bufs = {
+            gpu_.buffers().create(64, 64), gpu_.buffers().create(64, 64),
+            gpu_.buffers().create(32, 32), gpu_.buffers().create(96, 64),
+            gpu_.buffers().create(16, 256)};
+        NaiveModel model;
+        gpu_.submit({GpuCommand{GpuOp::ClearColor}}); // opaque black
+        for (const BufferPtr &b : bufs)
+            model.buffers.emplace_back(b->pixels.size(), 0);
+        model.front.assign(fb.frontBuffer().pixels.size(), 0);
+
+        for (int step = 0; step < 600; ++step) {
+            std::size_t which = pick(bufs.size());
+            BufferPtr buf = bufs[which];
+            std::vector<std::uint32_t> &want = model.buffers[which];
+            switch (pick(5)) {
+              case 0: { // a command stream of one to four commands
+                  std::vector<GpuCommand> cmds(1 + pick(4));
+                  for (GpuCommand &cmd : cmds) {
+                      cmd.target = buf->id;
+                      switch (pick(3)) {
+                        case 0:
+                          cmd.op = GpuOp::ClearColor;
+                          cmd.f0 = kRed[pick(2)];
+                          model.clearColor =
+                              cmd.f0 > 0 ? 0xffff0000u : 0xff000000u;
+                          break;
+                        case 1:
+                          cmd.op = GpuOp::Clear;
+                          std::fill(want.begin(), want.end(),
+                                    model.clearColor);
+                          break;
+                        default:
+                          cmd.op = GpuOp::DrawArrays;
+                          cmd.a = kVertices[pick(std::size(kVertices))];
+                          model.draw(want, cmd.a);
+                          break;
+                      }
+                  }
+                  gpu_.submit(cmds);
+                  break;
+              }
+              case 1:
+              case 2: // presents are the hot path: weight them
+                ASSERT_TRUE(fb.ioctl(t, FramebufferDevice::kIoctlPresent,
+                                     reinterpret_cast<void *>(
+                                         static_cast<std::uintptr_t>(
+                                             buf->id)))
+                                .ok());
+                model.present(want);
+                break;
+              case 3: { // a CPU write that bypasses the GPU
+                  std::size_t i = pick(want.size());
+                  std::uint32_t v = model.clearColor ^ (1u << pick(24));
+                  buf->mutablePixels()[i] = v;
+                  want[i] = v;
+                  break;
+              }
+              default: { // a screenshot is a detached copy
+                  GraphicsBuffer shot = *buf;
+                  ASSERT_TRUE(samePixels(shot.pixels, want));
+                  shot.mutablePixels()[pick(want.size())] ^= 1;
+                  break;
+              }
+            }
+            for (std::size_t b = 0; b < bufs.size(); ++b)
+                ASSERT_TRUE(samePixels(bufs[b]->pixels, model.buffers[b]))
+                    << "seed " << seed << " step " << step << " buffer "
+                    << b;
+            ASSERT_TRUE(samePixels(fb.frontBuffer().pixels, model.front))
+                << "seed " << seed << " step " << step;
+        }
+        for (const BufferPtr &b : bufs)
+            gpu_.buffers().destroy(b->id);
+    }
 }
 
 } // namespace

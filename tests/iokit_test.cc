@@ -156,7 +156,8 @@ TEST_F(IoKitFixture, AppleM2CLCDPresentsThroughLinuxDriver)
     ASSERT_NE(service, nullptr);
 
     gpu::BufferPtr buf = gpu_.buffers().create(64, 64);
-    std::fill(buf->pixels.begin(), buf->pixels.end(), 0xff00ff00u);
+    std::span<std::uint32_t> px = buf->mutablePixels();
+    std::fill(px.begin(), px.end(), 0xff00ff00u);
 
     kernel::Process &proc = kernel_.createProcess("caller");
     kernel::ThreadScope scope(proc.mainThread());

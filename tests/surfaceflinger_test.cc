@@ -1,10 +1,15 @@
 /**
  * @file
  * SurfaceFlinger unit tests: layer lifecycle, client-buffer attach,
- * composition, visibility, and screenshots.
+ * composition, visibility, screenshots, and concurrent composition.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "android/surfaceflinger.h"
 #include "hw/device_profile.h"
@@ -93,7 +98,8 @@ TEST_F(FlingerTest, ComposePushesPixelsToScanout)
 {
     int id = flinger_.createLayer("painter", 64, 64);
     gpu::BufferPtr buf = flinger_.layerBuffer(id);
-    std::fill(buf->pixels.begin(), buf->pixels.end(), 0xff112233u);
+    std::span<std::uint32_t> px = buf->mutablePixels();
+    std::fill(px.begin(), px.end(), 0xff112233u);
     flinger_.queueBuffer(id);
     flinger_.composeFrame(*env_);
     // Something non-zero landed on the framebuffer.
@@ -117,13 +123,69 @@ TEST_F(FlingerTest, ScreenshotCopiesLayer)
 {
     int id = flinger_.createLayer("shot", 4, 4);
     gpu::BufferPtr buf = flinger_.layerBuffer(id);
-    buf->pixels[5] = 0xabcdef01u;
+    buf->mutablePixels()[5] = 0xabcdef01u;
     gpu::GraphicsBuffer shot = flinger_.screenshot(id);
     EXPECT_EQ(shot.pixels[5], 0xabcdef01u);
     // It's a copy: mutating the shot leaves the layer alone.
-    shot.pixels[5] = 0;
+    shot.mutablePixels()[5] = 0;
     EXPECT_EQ(buf->pixels[5], 0xabcdef01u);
     EXPECT_EQ(flinger_.screenshot(0x777).width, 0u);
+}
+
+/** A GPU, display and compositor of their own, with a wallpaper and
+ *  @p apps app layers; the odd layer count keeps the composed draw
+ *  pattern from XORing itself away. */
+struct Stack
+{
+    Stack(const hw::DeviceProfile &profile, int apps)
+        : gpu(profile), fb(gpu, 320, 200), flinger(gpu, fb)
+    {
+        flinger.createLayer("wallpaper", 320, 200, -1);
+        for (int i = 0; i < apps; ++i)
+            layers.push_back(
+                flinger.createLayer("app." + std::to_string(i), 16, 16, i));
+    }
+
+    gpu::SimGpu gpu;
+    gpu::FramebufferDevice fb;
+    SurfaceFlinger flinger;
+    std::vector<int> layers;
+};
+
+TEST_F(FlingerTest, ConcurrentComposesMatchSerialComposition)
+{
+    constexpr int kThreads = 4;
+    constexpr int kFrames = 25;
+    Stack shared(kernel_.profile(), kThreads);
+    std::vector<kernel::Thread *> apps;
+    for (int i = 0; i < kThreads; ++i)
+        apps.push_back(
+            &kernel_.createProcess("app." + std::to_string(i)).mainThread());
+
+    std::vector<std::thread> workers;
+    for (int i = 0; i < kThreads; ++i)
+        workers.emplace_back([&, i] {
+            kernel::ThreadScope scope(*apps[i]);
+            binfmt::UserEnv env{kernel_, *apps[i], {}};
+            for (int f = 0; f < kFrames; ++f) {
+                shared.flinger.queueBuffer(shared.layers[i]);
+                shared.flinger.composeFrame(env);
+            }
+        });
+    for (std::thread &w : workers)
+        w.join();
+    EXPECT_EQ(shared.flinger.framesComposed(), 1u * kThreads * kFrames);
+    EXPECT_EQ(shared.fb.presentCount(), 1u * kThreads * kFrames);
+
+    shared.flinger.composeFrame(*env_);
+    Stack serial(kernel_.profile(), kThreads);
+    serial.flinger.composeFrame(*env_);
+    const gpu::PixelArray &got = shared.fb.frontBuffer().pixels;
+    const gpu::PixelArray &want = serial.fb.frontBuffer().pixels;
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
+    EXPECT_TRUE(std::any_of(want.begin(), want.end(),
+                            [&](std::uint32_t px) { return px != want[0]; }));
 }
 
 } // namespace
