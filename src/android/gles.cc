@@ -12,11 +12,15 @@ namespace {
 // User-space driver work per GL call (validation, command encode).
 constexpr double kGlCallCycles = 100;
 
-void
+/** Charge and count one call; returns the GL state so that a call
+ *  looks it up once. */
+GlState &
 chargeCall(binfmt::UserEnv &env)
 {
     charge(env.kernel.profile().cyclesToNs(kGlCallCycles));
-    ++glState(env).callCount;
+    GlState &st = glState(env);
+    ++st.callCount;
+    return st;
 }
 
 } // namespace
@@ -108,8 +112,7 @@ makeGlesLibrary()
     // State-change calls: validation cost, queued command.
     auto queue_cmd = [](gpu::GpuOp op) {
         return [op](binfmt::UserEnv &env, Args &args) {
-            chargeCall(env);
-            GlState &st = glState(env);
+            GlState &st = chargeCall(env);
             gpu::GpuCommand cmd;
             cmd.op = op;
             cmd.target = st.boundTarget;
@@ -142,8 +145,7 @@ makeGlesLibrary()
 
     lib.exports.add("glClearColor",
                     [](binfmt::UserEnv &env, Args &args) {
-                        chargeCall(env);
-                        GlState &st = glState(env);
+                        GlState &st = chargeCall(env);
                         gpu::GpuCommand cmd;
                         cmd.op = gpu::GpuOp::ClearColor;
                         cmd.f0 = binfmt::valueF64(args.at(0));
@@ -158,8 +160,7 @@ makeGlesLibrary()
 
     lib.exports.add("glBindTexture",
                     [](binfmt::UserEnv &env, Args &args) {
-                        chargeCall(env);
-                        GlState &st = glState(env);
+                        GlState &st = chargeCall(env);
                         st.boundTexture = static_cast<std::uint32_t>(
                             binfmt::valueI64(args.at(1)));
                         gpu::GpuCommand cmd;
@@ -171,8 +172,7 @@ makeGlesLibrary()
 
     lib.exports.add("glDrawArrays",
                     [](binfmt::UserEnv &env, Args &args) {
-                        chargeCall(env);
-                        GlState &st = glState(env);
+                        GlState &st = chargeCall(env);
                         gpu::GpuCommand cmd;
                         cmd.op = gpu::GpuOp::DrawArrays;
                         cmd.a = static_cast<std::uint64_t>(
@@ -184,8 +184,7 @@ makeGlesLibrary()
 
     lib.exports.add("glDrawElements",
                     [](binfmt::UserEnv &env, Args &args) {
-                        chargeCall(env);
-                        GlState &st = glState(env);
+                        GlState &st = chargeCall(env);
                         gpu::GpuCommand cmd;
                         cmd.op = gpu::GpuOp::DrawArrays;
                         cmd.a = static_cast<std::uint64_t>(
@@ -197,8 +196,7 @@ makeGlesLibrary()
 
     lib.exports.add("glTexImage2D",
                     [](binfmt::UserEnv &env, Args &args) {
-                        chargeCall(env);
-                        GlState &st = glState(env);
+                        GlState &st = chargeCall(env);
                         gpu::GpuCommand cmd;
                         cmd.op = gpu::GpuOp::TexImage2D;
                         cmd.a = static_cast<std::uint64_t>(
@@ -210,8 +208,7 @@ makeGlesLibrary()
                     });
 
     auto gen_names = [I](binfmt::UserEnv &env, Args &args) {
-        chargeCall(env);
-        GlState &st = glState(env);
+        GlState &st = chargeCall(env);
         std::int64_t n = args.empty() ? 1 : binfmt::valueI64(args[0]);
         std::int64_t first = static_cast<std::int64_t>(st.nextName);
         st.nextName += static_cast<std::uint64_t>(n);
@@ -223,12 +220,10 @@ makeGlesLibrary()
     lib.exports.add("glDeleteTextures", client_only);
 
     lib.exports.add("glCreateProgram", [I](binfmt::UserEnv &env, Args &) {
-        chargeCall(env);
-        return I(static_cast<std::int64_t>(glState(env).nextName++));
+        return I(static_cast<std::int64_t>(chargeCall(env).nextName++));
     });
     lib.exports.add("glCreateShader", [I](binfmt::UserEnv &env, Args &) {
-        chargeCall(env);
-        return I(static_cast<std::int64_t>(glState(env).nextName++));
+        return I(static_cast<std::int64_t>(chargeCall(env).nextName++));
     });
     lib.exports.add("glGetUniformLocation",
                     [I](binfmt::UserEnv &env, Args &) {
@@ -236,14 +231,12 @@ makeGlesLibrary()
                         return I(1);
                     });
     lib.exports.add("glGetError", [I](binfmt::UserEnv &env, Args &) {
-        chargeCall(env);
-        return I(glState(env).lastError);
+        return I(chargeCall(env).lastError);
     });
 
     lib.exports.add("glUseProgram",
                     [](binfmt::UserEnv &env, Args &args) {
-                        chargeCall(env);
-                        GlState &st = glState(env);
+                        GlState &st = chargeCall(env);
                         st.program = static_cast<std::uint32_t>(
                             binfmt::valueI64(args.at(0)));
                         gpu::GpuCommand cmd;
@@ -260,8 +253,7 @@ makeGlesLibrary()
     });
 
     lib.exports.add("glFinish", [](binfmt::UserEnv &env, Args &) {
-        chargeCall(env);
-        GlState &st = glState(env);
+        GlState &st = chargeCall(env);
         gpu::GpuCommand ins;
         ins.op = gpu::GpuOp::FenceInsert;
         ins.a = st.nextFence;

@@ -18,6 +18,17 @@ constexpr double kErrnoConvertCycles = 35;
 
 } // namespace
 
+void
+switchPersona(binfmt::UserEnv &env, kernel::Persona target)
+{
+    kernel::TrapClass cls =
+        env.thread.persona() == kernel::Persona::Ios
+            ? kernel::TrapClass::XnuBsd
+            : kernel::TrapClass::LinuxSyscall;
+    env.kernel.trap(env.thread, cls, kernel::sysno::SET_PERSONA,
+                    kernel::makeArgs(static_cast<std::uint64_t>(target)));
+}
+
 Diplomat::Diplomat(std::string symbol_name, Resolver resolver)
     : name_(std::move(symbol_name)), resolver_(std::move(resolver))
 {}
@@ -52,20 +63,6 @@ Diplomat::stats() const
     s.calls = calls_.load(std::memory_order_relaxed);
     s.batchedCalls = batchedCalls_.load(std::memory_order_relaxed);
     return s;
-}
-
-void
-Diplomat::switchPersona(binfmt::UserEnv &env, kernel::Persona target)
-{
-    // Trap class matches the persona issuing the syscall; the Cider
-    // dispatcher accepts set_persona from every persona.
-    kernel::TrapClass cls =
-        env.thread.persona() == kernel::Persona::Ios
-            ? kernel::TrapClass::XnuBsd
-            : kernel::TrapClass::LinuxSyscall;
-    kernel::SyscallArgs args =
-        kernel::makeArgs(static_cast<std::uint64_t>(target));
-    env.kernel.trap(env.thread, cls, kernel::sysno::SET_PERSONA, args);
 }
 
 void

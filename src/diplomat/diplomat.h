@@ -33,6 +33,14 @@
 
 namespace cider::diplomat {
 
+/**
+ * One set_persona trap switching the calling thread to @p target
+ * (steps 3 and 7). The trap class matches the persona issuing the
+ * syscall; the Cider dispatcher accepts set_persona from every
+ * persona. Every diplomatic call path switches through here.
+ */
+void switchPersona(binfmt::UserEnv &env, kernel::Persona target);
+
 /** Per-diplomat call counters (ablation metric). */
 struct DiplomatStats
 {
@@ -70,7 +78,6 @@ class Diplomat
 
   private:
     const binfmt::Symbol *resolveOnce(binfmt::UserEnv &env);
-    void switchPersona(binfmt::UserEnv &env, kernel::Persona target);
     void convertErrno(binfmt::UserEnv &env);
 
     std::string name_;

@@ -4,8 +4,8 @@
 #include <set>
 
 #include "base/cost_clock.h"
+#include "diplomat/diplomat.h"
 #include "kernel/kernel.h"
-#include "kernel/linux_syscalls.h"
 
 namespace cider::ios {
 
@@ -84,18 +84,7 @@ aggFlush(binfmt::UserEnv &env, binfmt::LibraryRegistry *libs,
         return binfmt::Value{};
 
     kernel::Persona caller = env.thread.persona();
-    auto switch_to = [&](kernel::Persona p) {
-        kernel::TrapClass cls =
-            env.thread.persona() == kernel::Persona::Ios
-                ? kernel::TrapClass::XnuBsd
-                : kernel::TrapClass::LinuxSyscall;
-        kernel::SyscallArgs args =
-            kernel::makeArgs(static_cast<std::uint64_t>(p));
-        env.kernel.trap(env.thread, cls, kernel::sysno::SET_PERSONA,
-                        args);
-    };
-
-    switch_to(kernel::Persona::Android);
+    diplomat::switchPersona(env, kernel::Persona::Android);
     binfmt::Value rv;
     for (auto &[symbol, args] : st.pending) {
         charge(env.kernel.profile().cyclesToNs(20.0 *
@@ -108,7 +97,7 @@ aggFlush(binfmt::UserEnv &env, binfmt::LibraryRegistry *libs,
         if (const binfmt::Symbol *sym = gl->exports.find(tail_symbol))
             rv = sym->fn(env, *tail_args);
     }
-    switch_to(caller);
+    diplomat::switchPersona(env, caller);
     return rv;
 }
 

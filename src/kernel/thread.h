@@ -15,10 +15,11 @@
 
 #include <atomic>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "base/cost_clock.h"
 #include "kernel/signals.h"
@@ -31,12 +32,21 @@ class Process;
 /**
  * Extension-state map modules use to hang per-object state.
  *
- * The map *structure* is internally locked, so lazy first-use
- * population (get) is safe when several host threads race to create
- * the same slot under SMP — both resolve to one shared value. The
- * returned values themselves are NOT locked: each value follows its
- * owner's serialization (per-thread state is only touched by the host
- * thread simulating that thread — see Thread::ext(); per-process
+ * The traffic is read-mostly: a few first-use inserts per object and
+ * one clear() per exec, against several lookups per diplomatic GL call
+ * and one per Mach trap. So the slots live in an immutable table
+ * published through one atomic pointer: a lookup is an acquire load
+ * and a scan of string_view keys, with no lock, no key string built
+ * and no refcount touched. A first-use insert and clear() serialize on
+ * a writer mutex, build a new table and publish it with a release
+ * store; first callers that race in get() resolve to one shared value.
+ * A replaced table stays allocated until the map is destroyed, since a
+ * reader may still be scanning it (DESIGN.md section 11). Values are
+ * owned apart from the tables, and clear() drops them.
+ *
+ * The returned values themselves are NOT locked: each value follows
+ * its owner's serialization (per-thread state is only touched by the
+ * host thread simulating that thread — see Thread::ext(); per-process
  * state is shared and must carry its own synchronisation if mutated
  * concurrently).
  */
@@ -46,44 +56,51 @@ class ExtMap
     /** Fetch (default-constructing on first use) typed state. */
     template <typename T>
     T &
-    get(const std::string &key)
+    get(std::string_view key)
     {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = slots_.find(key);
-        if (it == slots_.end())
-            it = slots_.emplace(key, std::make_shared<T>()).first;
-        return *std::static_pointer_cast<T>(it->second);
+        void *value = lookup(key);
+        if (!value)
+            value = insert(key, &makeValue<T>);
+        return *static_cast<T *>(value);
     }
 
     /** Peek without creating. */
     template <typename T>
     T *
-    find(const std::string &key) const
+    find(std::string_view key) const
     {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = slots_.find(key);
-        if (it == slots_.end())
-            return nullptr;
-        return std::static_pointer_cast<T>(it->second).get();
+        return static_cast<T *>(lookup(key));
     }
 
-    void
-    erase(const std::string &key)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        slots_.erase(key);
-    }
-
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        slots_.clear();
-    }
+    /** Drop every value; the next get() of a key creates it afresh. */
+    void clear();
 
   private:
-    mutable std::mutex mu_;
-    std::map<std::string, std::shared_ptr<void>> slots_;
+    struct Slot
+    {
+        std::string key;
+        void *value;
+    };
+    using Table = std::vector<Slot>;
+
+    template <typename T>
+    static std::shared_ptr<void>
+    makeValue()
+    {
+        return std::make_shared<T>();
+    }
+
+    void *lookup(std::string_view key) const;
+    void *insert(std::string_view key, std::shared_ptr<void> (*make)());
+
+    /** The published table; null when empty. */
+    std::atomic<const Table *> table_{nullptr};
+    /** Writers only (insert, clear); a lookup never takes it. */
+    std::mutex mu_;
+    /** Every table ever published, freed only with the map. */
+    std::vector<std::unique_ptr<const Table>> tables_;
+    /** Owners of the published table's values. */
+    std::vector<std::shared_ptr<void>> values_;
 };
 
 class Thread
@@ -120,7 +137,8 @@ class Thread
      * single-step take keeps drain atomic.
      */
     void queueSignal(const SigInfo &info);
-    /** Pop the oldest pending signal; false when none pending. */
+    /** Pop the oldest pending signal; false when none pending (then
+     *  without taking the lock). */
     bool takePendingSignal(SigInfo *out);
     std::size_t pendingSignalCount() const;
     /// @}
@@ -146,6 +164,9 @@ class Thread
     CostClock clock_;
     mutable std::mutex sigMu_;
     std::deque<SigInfo> pending_;
+    /** pending_.size(), written under sigMu_ and read without it, so
+     *  a trap exit with nothing queued takes no lock. */
+    std::atomic<std::size_t> pendingCount_{0};
     ExtMap ext_;
     /** Host-thread marker of the ThreadScope currently simulating
      *  this thread (null when not being simulated). */

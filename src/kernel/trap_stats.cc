@@ -128,19 +128,22 @@ void
 TrapStats::recordTrap(const TrapContext &ctx, const SyscallResult &r,
                       std::uint64_t latency_ns)
 {
+    TraceRecord rec;
     if (ctx.entry && ctx.entry->stat) {
         ctx.entry->stat->record(latency_ns, r.ok());
     } else if (ctx.table) {
         unknownNr_.fetch_add(1, std::memory_order_relaxed);
     } else if (!r.ok()) {
         rejected_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+        // A trap with no table that nevertheless succeeded is
+        // set_persona, which the dispatcher services before table
+        // select. Its one record is the switch, latency included.
+        personaSwitches_.fetch_add(1, std::memory_order_relaxed);
+        rec.kind = TraceRecord::Kind::PersonaSwitch;
+        rec.toPersona = ctx.thread.persona();
     }
-    // A trap with no table that nevertheless succeeded is set_persona,
-    // which the dispatcher services before table select; the switch
-    // itself was already traced by recordPersonaSwitch().
 
-    TraceRecord rec;
-    rec.kind = TraceRecord::Kind::Trap;
     rec.cls = ctx.cls;
     rec.persona = ctx.entryPersona;
     rec.nr = ctx.nr;
@@ -313,9 +316,9 @@ TrapStats::dump() const
         if (r.kind == TraceRecord::Kind::PersonaSwitch) {
             appendf(out,
                     "  #%-6" PRIu64 " tid=%-4d set_persona %s -> %s "
-                    "t=%" PRIu64 "\n",
+                    "lat=%" PRIu64 " t=%" PRIu64 "\n",
                     r.seq, r.tid, personaName(r.persona),
-                    personaName(r.toPersona), r.timeNs);
+                    personaName(r.toPersona), r.latencyNs, r.timeNs);
             continue;
         }
         appendf(out,

@@ -67,7 +67,10 @@ struct TraceRecord
     enum class Kind : std::uint8_t
     {
         Trap,          ///< a completed kernel trap
-        PersonaSwitch, ///< set_persona changed a thread's persona
+        /** set_persona changed a thread's persona: a set_persona trap
+         *  (one record, with its class, nr and latency) or a direct
+         *  PersonaManager::setPersona call (no trap: nr 0, latency 0). */
+        PersonaSwitch,
     };
 
     Kind kind = Kind::Trap;
@@ -166,6 +169,8 @@ class TrapStats
                     std::uint64_t latency_ns);
     /** A trap whose handler never returned (exit/execve). */
     void recordNoReturn(const TrapContext &ctx, std::uint64_t latency_ns);
+    /** A persona switch made outside a trap; recordTrap() traces and
+     *  counts a set_persona trap's switch itself. */
     void recordPersonaSwitch(Thread &t, Persona from, Persona to);
     /// @}
 
@@ -181,6 +186,8 @@ class TrapStats
     std::uint64_t tableCalls(const std::string &table) const;
     std::uint64_t totalCalls() const;
 
+    /** Every persona switch, by trap or direct call: the kernel's one
+     *  switch counter (PersonaManager::personaSwitches() reads it). */
     std::uint64_t personaSwitches() const
     {
         return personaSwitches_.load(std::memory_order_relaxed);

@@ -68,20 +68,20 @@ class MultiPersonaDispatcher : public kernel::TrapDispatcher
     SyscallResult
     dispatch(TrapContext &ctx) override
     {
-        const PersonaCosts &costs = mgr_.costs();
-        const hw::DeviceProfile &profile = ctx.kernel.profile();
         Thread &t = ctx.thread;
 
         // Persona check and handling on every syscall entry — the
         // 8.5% null-syscall cost of running Cider at all (Figure 5).
-        charge(profile.cyclesToNs(costs.personaCheckCycles));
+        charge(mgr_.personaCheckNs_);
 
         // set_persona is reachable from all personas and trap classes.
         if (ctx.nr == SET_PERSONA) {
-            auto target = static_cast<Persona>(ctx.args.u64(0));
-            mgr_.setPersona(t, target);
+            mgr_.switchTo(t, static_cast<Persona>(ctx.args.u64(0)));
             return SyscallResult::success();
         }
+
+        const PersonaCosts &costs = mgr_.costs();
+        const hw::DeviceProfile &profile = ctx.kernel.profile();
 
         const SyscallTable *table = nullptr;
         switch (ctx.cls) {
@@ -191,7 +191,9 @@ PersonaManager::PersonaManager(kernel::Kernel &k, xnu::MachIpc &ipc,
                                xnu::PsynchSubsystem &psynch,
                                const PersonaCosts &costs)
     : kernel_(k), ipc_(ipc), psynch_(psynch), costs_(costs),
-      xnuBsd_("xnu-bsd"), mach_("xnu-mach"), mdep_("xnu-mdep")
+      xnuBsd_("xnu-bsd"), mach_("xnu-mach"), mdep_("xnu-mdep"),
+      personaCheckNs_(k.profile().cyclesToNs(costs.personaCheckCycles)),
+      setPersonaNs_(k.profile().cyclesToNs(costs.setPersonaCycles))
 {
     xnu::buildXnuBsdTable(xnuBsd_, psynch_);
     xnu::buildMachTrapTable(mach_, ipc_, psynch_);
@@ -214,14 +216,19 @@ PersonaManager::install()
 void
 PersonaManager::setPersona(kernel::Thread &t, kernel::Persona p)
 {
+    kernel::Persona from = t.persona();
+    switchTo(t, p);
+    kernel_.trapStats().recordPersonaSwitch(t, from, p);
+}
+
+void
+PersonaManager::switchTo(kernel::Thread &t, kernel::Persona p)
+{
     // Swap the kernel ABI selection and the TLS area pointer; any
     // later kernel trap or TLS access uses the new persona's state.
-    charge(kernel_.profile().cyclesToNs(costs_.setPersonaCycles));
-    kernel::Persona from = t.persona();
+    charge(setPersonaNs_);
     t.setPersona(p);
     ThreadTls::of(t).activate(p);
-    ++switches_;
-    kernel_.trapStats().recordPersonaSwitch(t, from, p);
 }
 
 } // namespace cider::persona

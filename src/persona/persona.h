@@ -21,7 +21,6 @@
 #ifndef CIDER_PERSONA_PERSONA_H
 #define CIDER_PERSONA_PERSONA_H
 
-#include <atomic>
 #include <memory>
 
 #include "kernel/kernel.h"
@@ -77,8 +76,9 @@ class PersonaManager
     /** Replace the kernel's dispatcher and signal hook. */
     void install();
 
-    /** The set_persona implementation (also reachable as a syscall).
-     *  Switches kernel ABI selection and the active TLS area. */
+    /** The set_persona implementation called directly, not as a
+     *  syscall: switches kernel ABI selection and the active TLS
+     *  area, and writes the switch's one trace record. */
     void setPersona(kernel::Thread &t, kernel::Persona p);
 
     kernel::SyscallTable &xnuBsdTable() { return xnuBsd_; }
@@ -86,16 +86,21 @@ class PersonaManager
     kernel::SyscallTable &mdepTable() { return mdep_; }
     const PersonaCosts &costs() const { return costs_; }
 
-    /** Count of persona switches performed (ablation metric). */
+    /** Count of persona switches performed (ablation metric), by
+     *  trap or direct call: the kernel's TrapStats counts each once. */
     std::uint64_t
     personaSwitches() const
     {
-        return switches_.load(std::memory_order_relaxed);
+        return kernel_.trapStats().personaSwitches();
     }
 
   private:
     friend class MultiPersonaDispatcher;
     friend class PersonaSignalHook;
+
+    /** The switch without its trace record: a set_persona trap's
+     *  record is written once, at trap exit (TrapStats::recordTrap). */
+    void switchTo(kernel::Thread &t, kernel::Persona p);
 
     kernel::Kernel &kernel_;
     xnu::MachIpc &ipc_;
@@ -104,9 +109,10 @@ class PersonaManager
     kernel::SyscallTable xnuBsd_;
     kernel::SyscallTable mach_;
     kernel::SyscallTable mdep_;
-    /** Relaxed atomic: fleet sessions switch personas concurrently
-     *  on pool workers (diplomatic GL bursts under SMP). */
-    std::atomic<std::uint64_t> switches_{0};
+    /** The per-trap persona check and set_persona costs in ns, on the
+     *  kernel's profile: both inputs are fixed at construction. */
+    std::uint64_t personaCheckNs_;
+    std::uint64_t setPersonaNs_;
 };
 
 /** The syscall number understood from every persona/table. */

@@ -67,10 +67,10 @@ TlsArea::setThreadId(std::uint64_t tid)
 TlsArea &
 ThreadTls::area(kernel::Persona p)
 {
-    auto it = areas_.find(p);
-    if (it == areas_.end())
-        it = areas_.emplace(p, TlsArea(layoutFor(p))).first;
-    return it->second;
+    std::optional<TlsArea> &slot = areas_[static_cast<std::size_t>(p)];
+    if (!slot)
+        slot.emplace(layoutFor(p));
+    return *slot;
 }
 
 TlsArea &

@@ -12,9 +12,10 @@
 #ifndef CIDER_PERSONA_TLS_H
 #define CIDER_PERSONA_TLS_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <vector>
 
 #include "kernel/thread.h"
@@ -77,11 +78,10 @@ class ThreadTls
     static ThreadTls &of(kernel::Thread &t);
 
   private:
-    std::map<kernel::Persona, TlsArea> areas_;
+    /** Indexed by persona; an area is created on first use. */
+    std::array<std::optional<TlsArea>, 2> areas_;
     kernel::Persona active_ = kernel::Persona::Android;
     bool initialised_ = false;
-
-    friend class std::map<std::string, ThreadTls>;
 };
 
 /** Read/write errno in the *active* TLS area of @p t. */

@@ -1,14 +1,15 @@
 /**
  * @file
  * Diplomatic function tests: the nine-step arbitration, persona
- * restoration, errno conversion into the foreign TLS, first-call
- * caching (once, across racing threads), batching, and whole-library
- * wrapping.
+ * restoration, one trace record per persona switch, errno conversion
+ * into the foreign TLS, first-call caching (once, across racing
+ * threads), batching, and whole-library wrapping.
  */
 
 #include <gtest/gtest.h>
 
 #include <latch>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -16,6 +17,7 @@
 #include "diplomat/diplomat.h"
 #include "hw/device_profile.h"
 #include "kernel/linux_syscalls.h"
+#include "kernel/trap_stats.h"
 #include "persona/persona.h"
 #include "persona/tls.h"
 
@@ -87,6 +89,61 @@ TEST_F(DiplomatTest, ArbitrationSwitchesAndRestoresPersona)
     // Two set_persona switches per call.
     EXPECT_EQ(mgr_.personaSwitches(), 2u);
     EXPECT_EQ(d->stats().calls, 1u);
+}
+
+TEST_F(DiplomatTest, EachPersonaSwitchLeavesOneTraceRecord)
+{
+    DiplomaticLibrary dlib(libs_, "libdomestic.so");
+    Diplomat *d = dlib.find("observe");
+    ASSERT_NE(d, nullptr);
+    kernel::TrapStats &stats = kernel_.trapStats();
+    const kernel::TrapTracer &tracer = stats.tracer();
+    const std::uint64_t before = tracer.recorded();
+
+    // A call's two set_persona traps leave exactly two records, each
+    // the switch itself with its trap's class, nr and latency.
+    std::vector<binfmt::Value> args{std::int64_t{1}};
+    d->call(*env_, args);
+    ASSERT_EQ(tracer.recorded(), before + 2);
+    std::vector<kernel::TraceRecord> trace = tracer.snapshot();
+    ASSERT_GE(trace.size(), 2u);
+    const kernel::TraceRecord &in = trace[trace.size() - 2];
+    const kernel::TraceRecord &out = trace.back();
+    for (const kernel::TraceRecord *rec : {&in, &out}) {
+        EXPECT_EQ(rec->kind, kernel::TraceRecord::Kind::PersonaSwitch);
+        EXPECT_EQ(rec->nr, kernel::sysno::SET_PERSONA);
+        EXPECT_EQ(rec->tid, thread_->tid());
+        EXPECT_GT(rec->latencyNs, 0u);
+    }
+    EXPECT_EQ(in.cls, kernel::TrapClass::XnuBsd);
+    EXPECT_EQ(in.persona, Persona::Ios);
+    EXPECT_EQ(in.toPersona, Persona::Android);
+    EXPECT_EQ(out.cls, kernel::TrapClass::LinuxSyscall);
+    EXPECT_EQ(out.persona, Persona::Android);
+    EXPECT_EQ(out.toPersona, Persona::Ios);
+
+    // A direct switch is no trap; it still leaves its one record.
+    mgr_.setPersona(*thread_, Persona::Android);
+    ASSERT_EQ(tracer.recorded(), before + 3);
+    const kernel::TraceRecord direct = tracer.snapshot().back();
+    EXPECT_EQ(direct.kind, kernel::TraceRecord::Kind::PersonaSwitch);
+    EXPECT_EQ(direct.persona, Persona::Ios);
+    EXPECT_EQ(direct.toPersona, Persona::Android);
+
+    // One switch counter, read through both accessors.
+    EXPECT_EQ(stats.personaSwitches(), 3u);
+    EXPECT_EQ(mgr_.personaSwitches(), 3u);
+
+    // The dump's switch lines carry their latency.
+    std::istringstream dump(stats.dump());
+    std::size_t switch_lines = 0;
+    for (std::string line; std::getline(dump, line);) {
+        if (line.find("set_persona") == std::string::npos)
+            continue;
+        ++switch_lines;
+        EXPECT_NE(line.find(" lat="), std::string::npos) << line;
+    }
+    EXPECT_EQ(switch_lines, 3u);
 }
 
 TEST_F(DiplomatTest, ErrnoConvertedIntoForeignTls)

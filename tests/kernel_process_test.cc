@@ -165,7 +165,8 @@ TEST_F(ProcessTest, ExtMapIsTypedAndSticky)
     proc_->ext().get<Counter>("c").value = 41;
     EXPECT_EQ(proc_->ext().get<Counter>("c").value, 41);
     EXPECT_EQ(proc_->ext().find<Counter>("missing"), nullptr);
-    proc_->ext().erase("c");
+    proc_->ext().clear();
+    EXPECT_EQ(proc_->ext().find<Counter>("c"), nullptr);
     EXPECT_EQ(proc_->ext().get<Counter>("c").value, 0);
 }
 

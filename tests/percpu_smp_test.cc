@@ -3,13 +3,16 @@
  * SMP per-CPU layer tests: the determinism gate (N-host-thread runs
  * report bit-identical virtual time to the serialized 1-thread run),
  * executor work stealing, the SchedRail collapse, the multi-writer
- * trap tracer, and the ExtMap single-owner contract.
+ * trap tracer, and the ExtMap's lock-free lookups and single-owner
+ * contract.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -236,6 +239,65 @@ TEST(PerCpuSmpTest, ExtMapConcurrentLazyGetResolvesToOneSlot)
         h.join();
     for (unsigned i = 1; i < kThreads; ++i)
         EXPECT_EQ(seen[i], seen[0]);
+}
+
+TEST(PerCpuSmpTest, ExtMapLookupsRacingInsertsSeeTheirOwnValues)
+{
+    Kernel k(hw::DeviceProfile::nexus7());
+    Process &p = k.createProcess("shared");
+    struct Tag
+    {
+        int id = -1;
+    };
+    constexpr int kReaders = 4;
+    constexpr int kInserts = 200;
+    auto readerKey = [](int i) { return "reader." + std::to_string(i); };
+    auto insertKey = [](int n) { return "inserted." + std::to_string(n); };
+    for (int i = 0; i < kReaders; ++i)
+        p.ext().get<Tag>(readerKey(i)).id = i;
+
+    // Four readers look their keys up while a fifth host thread keeps
+    // inserting: each insert publishes a new table under the readers.
+    std::atomic<bool> inserted{false};
+    std::atomic<unsigned> wrong{0};
+    std::latch start(kReaders + 1);
+    std::vector<std::thread> hosts;
+    for (int i = 0; i < kReaders; ++i)
+        hosts.emplace_back([&, i] {
+            const std::string key = readerKey(i);
+            Tag *own = p.ext().find<Tag>(key);
+            start.arrive_and_wait();
+            do {
+                Tag &got = p.ext().get<Tag>(key);
+                if (&got != own || got.id != i ||
+                    p.ext().find<Tag>(key) != own)
+                    wrong.fetch_add(1, std::memory_order_relaxed);
+            } while (!inserted.load(std::memory_order_acquire));
+        });
+    hosts.emplace_back([&] {
+        start.arrive_and_wait();
+        for (int n = 0; n < kInserts; ++n) {
+            p.ext().get<Tag>(insertKey(n)).id = 1000 + n;
+            std::this_thread::yield();
+        }
+        inserted.store(true, std::memory_order_release);
+    });
+    for (std::thread &h : hosts)
+        h.join();
+
+    EXPECT_EQ(wrong.load(), 0u);
+    for (int n = 0; n < kInserts; ++n) {
+        Tag *tag = p.ext().find<Tag>(insertKey(n));
+        ASSERT_NE(tag, nullptr);
+        EXPECT_EQ(tag->id, 1000 + n);
+    }
+
+    // clear() drops every value: a find misses, a get starts afresh.
+    p.ext().clear();
+    EXPECT_EQ(p.ext().find<Tag>(readerKey(0)), nullptr);
+    EXPECT_EQ(p.ext().find<Tag>(insertKey(0)), nullptr);
+    EXPECT_EQ(p.ext().get<Tag>(readerKey(0)).id, -1);
+    EXPECT_EQ(p.ext().get<Tag>(insertKey(0)).id, -1);
 }
 
 using PerCpuSmpDeathTest = ::testing::Test;

@@ -1,10 +1,15 @@
 /**
  * @file
- * Signal delivery tests on the vanilla kernel plus the Linux<->XNU
- * translation tables.
+ * Signal delivery tests on the vanilla kernel (including a sender
+ * queueing against a trapping receiver on another host thread) plus
+ * the Linux<->XNU translation tables.
  */
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "hw/device_profile.h"
 #include "kernel/kernel.h"
@@ -114,6 +119,54 @@ TEST_F(SignalsTest, CrossThreadSignalQueuedUntilTrapBoundary)
     kernel_.trap(other_main, TrapClass::LinuxSyscall,
                  sysno::NULL_SYSCALL, makeArgs());
     EXPECT_EQ(seen, lsig::USR1);
+}
+
+TEST_F(SignalsTest, ConcurrentQueueRunsEveryHandlerOnceInOrder)
+{
+    Process &other = kernel_.createProcess("target");
+    Thread &target = other.mainThread();
+    constexpr std::int64_t kSignals = 10000;
+
+    // Handlers run on the target's host thread only.
+    std::vector<std::int64_t> ran;
+    SignalAction act;
+    act.kind = SignalAction::Kind::Handler;
+    act.fn = [&ran](int, const SigInfo &info) { ran.push_back(info.value); };
+    other.signals().action(lsig::USR1) = act;
+
+    std::atomic<bool> queued{false};
+    std::thread receiver([&] {
+        ThreadScope scope(target);
+        auto null_trap = [&] {
+            kernel_.trap(target, TrapClass::LinuxSyscall,
+                         sysno::NULL_SYSCALL, makeArgs());
+        };
+        while (!queued.load(std::memory_order_acquire))
+            null_trap();
+        // Every queueSignal happened before this trap: it drains the
+        // rest.
+        null_trap();
+    });
+    std::thread sender([&] {
+        for (std::int64_t i = 0; i < kSignals; ++i) {
+            SigInfo info;
+            info.signo = lsig::USR1;
+            info.tableSigno = lsig::USR1;
+            info.value = i;
+            target.queueSignal(info);
+        }
+        queued.store(true, std::memory_order_release);
+    });
+    sender.join();
+    receiver.join();
+
+    ASSERT_EQ(ran.size(), static_cast<std::size_t>(kSignals));
+    std::size_t out_of_order = 0;
+    for (std::int64_t i = 0; i < kSignals; ++i)
+        if (ran[static_cast<std::size_t>(i)] != i)
+            ++out_of_order;
+    EXPECT_EQ(out_of_order, 0u);
+    EXPECT_EQ(target.pendingSignalCount(), 0u);
 }
 
 // Translation tables (paper section 4.1).
