@@ -68,7 +68,11 @@ LibraryRegistry::add(LibraryImage image)
 {
     auto ptr = std::make_unique<LibraryImage>(std::move(image));
     LibraryImage &ref = *ptr;
-    images_[ref.name] = std::move(ptr);
+    std::unique_ptr<LibraryImage> &slot = images_[ref.name];
+    ref.index = slot ? slot->index
+                     : static_cast<std::uint32_t>(images_.size() - 1);
+    slot = std::move(ptr);
+    ++generation_;
     return ref;
 }
 
@@ -94,6 +98,15 @@ LibraryRegistry::names() const
     for (const auto &[name, img] : images_)
         out.push_back(name);
     return out;
+}
+
+std::uint64_t
+LibraryRegistry::totalPages() const
+{
+    std::uint64_t pages = 0;
+    for (const auto &[name, img] : images_)
+        pages += img->pages;
+    return pages;
 }
 
 void

@@ -104,21 +104,36 @@ struct LibraryImage
     int atforkHandlers = 0;
     int exitHandlers = 0;
     SymbolTable exports;
-    std::function<void(UserEnv &)> initializer;
+    /** Dense slot in the registry, 0..size()-1, set by
+     *  LibraryRegistry::add; a replacement keeps its name's slot, so
+     *  dyld dedupes images by name through it. */
+    std::uint32_t index = 0;
 };
 
-/** All registered library images (one namespace per system). */
+/**
+ * All registered library images (one namespace per system). The
+ * registry is filled while a system is set up: add() must not race a
+ * lookup, a launch or another add().
+ */
 class LibraryRegistry
 {
   public:
+    /** Register @p image, replacing any image of the same name, and
+     *  move generation(). */
     LibraryImage &add(LibraryImage image);
     LibraryImage *find(const std::string &name);
     const LibraryImage *find(const std::string &name) const;
     std::vector<std::string> names() const;
     std::size_t size() const { return images_.size(); }
+    /** Pages of every registered image (the dyld shared cache). */
+    std::uint64_t totalPages() const;
+    /** Bumped by every add(): anything derived from the registry,
+     *  such as dyld's launch plans, is stale once it moves. */
+    std::uint64_t generation() const { return generation_; }
 
   private:
     std::map<std::string, std::unique_ptr<LibraryImage>> images_;
+    std::uint64_t generation_ = 0;
 };
 
 /** Registered program entry points ("text segments"). */

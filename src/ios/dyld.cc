@@ -1,6 +1,6 @@
 #include "ios/dyld.h"
 
-#include <deque>
+#include <algorithm>
 
 #include "base/cost_clock.h"
 #include "base/logging.h"
@@ -17,6 +17,43 @@ constexpr double kLinkCycles = 30000;
 constexpr double kSharedCacheLinkCycles = 1500;
 
 } // namespace
+
+/**
+ * What dyld does for one list of root dylibs, resolved against one
+ * registry generation: the images in the order the depth-first walk
+ * loads them. Immutable once built, and shared by every bootstrap
+ * that launches the same roots.
+ */
+struct Dyld::LaunchPlan
+{
+    struct Step
+    {
+        /** Null when no image of this name is registered: replay
+         *  warns at this point of the walk, as the walk did. */
+        const binfmt::LibraryImage *image = nullptr;
+        std::string name;
+        std::string path;    ///< the file the walk opens
+        std::string mapping; ///< its VmMap entry name
+    };
+
+    std::vector<Step> steps;
+    std::size_t images = 0;         ///< steps with an image
+    std::size_t atexitHandlers = 0; ///< registered over all images
+    std::size_t atforkHandlers = 0;
+    std::uint64_t cachePages = 0; ///< the shared cache's size
+};
+
+bool
+DyldImages::insert(const binfmt::LibraryImage &img)
+{
+    if (img.index >= has.size())
+        has.resize(img.index + 1);
+    if (has[img.index])
+        return false;
+    has[img.index] = true;
+    loaded.push_back(&img);
+    return true;
+}
 
 Dyld::Dyld(binfmt::LibraryRegistry &libraries, std::string library_dir)
     : libraries_(libraries), libraryDir_(std::move(library_dir))
@@ -39,81 +76,115 @@ Dyld::resolve(binfmt::UserEnv &env, const std::string &symbol)
 }
 
 void
-Dyld::loadImage(binfmt::UserEnv &env, const std::string &name,
-                bool shared_cache, DyldImages &table)
+Dyld::planImage(const std::string &name, DyldImages &seen,
+                LaunchPlan &plan) const
 {
-    if (table.byName.count(name))
-        return;
     const binfmt::LibraryImage *img = libraries_.find(name);
     if (!img) {
-        warn("dyld: image not found: ", name);
+        plan.steps.push_back({nullptr, name, {}, {}});
         return;
     }
-
-    LibSystem libc(env);
-    if (!shared_cache) {
-        // Walk the filesystem and map the image individually. These
-        // pages are what fork() must write-protect-sweep.
-        int fd = libc.open(libraryDir_ + "/" + name,
-                           kernel::oflag::RDONLY);
-        if (fd >= 0)
-            libc.close(fd);
-        charge(env.kernel.profile().cyclesToNs(kLinkCycles));
-        env.process().mem().addMapping("dylib:" + name, img->pages);
-    } else {
-        // Shared-cache images live in the system-wide shared-region
-        // VmObject mapped once in bootstrap(); no per-image mapping.
-        charge(env.kernel.profile().cyclesToNs(kSharedCacheLinkCycles));
-    }
-    table.loaded.push_back(img);
-    table.byName[name] = img;
-    imagesLoaded_.fetch_add(1, std::memory_order_relaxed);
-
-    // dyld registers an exit-time callback for every image, and the
-    // image's own runtime may install pthread_atfork callbacks.
-    libc.atexit([] {});
-    for (int i = 0; i < img->atforkHandlers; ++i)
-        libc.pthreadAtfork([] {}, [] {}, [] {});
-    for (int i = 1; i < img->exitHandlers; ++i)
-        libc.atexit([] {});
-
-    if (img->initializer)
-        img->initializer(env);
-
-    // Recurse into dependencies (already-loaded ones are skipped).
+    if (!seen.insert(*img))
+        return;
+    plan.steps.push_back(
+        {img, name, libraryDir_ + "/" + name, "dylib:" + name});
+    ++plan.images;
+    plan.atexitHandlers += std::max(img->exitHandlers, 1);
+    plan.atforkHandlers += std::max(img->atforkHandlers, 0);
+    // Recurse into dependencies (already-planned ones are skipped).
     for (const std::string &dep : img->deps)
-        loadImage(env, dep, shared_cache, table);
+        planImage(dep, seen, plan);
+}
+
+std::shared_ptr<const Dyld::LaunchPlan>
+Dyld::launchPlan(const std::vector<std::string> &roots)
+{
+    // Building a plan makes no trap and charges nothing, so holding
+    // the lock through it keeps concurrent first launches to one build.
+    std::lock_guard<std::mutex> lock(planMu_);
+    if (planGen_ != libraries_.generation()) {
+        plans_.clear();
+        planGen_ = libraries_.generation();
+    }
+    std::shared_ptr<const LaunchPlan> &slot = plans_[roots];
+    if (!slot) {
+        auto plan = std::make_shared<LaunchPlan>();
+        DyldImages seen;
+        for (const std::string &root : roots)
+            planImage(root, seen, *plan);
+        plan->cachePages = libraries_.totalPages();
+        slot = std::move(plan);
+    }
+    return slot;
 }
 
 void
 Dyld::bootstrap(binfmt::UserEnv &env, const binfmt::MachOImage &image)
 {
-    bool shared_cache = env.kernel.profile().dyldSharedCache;
+    const hw::DeviceProfile &profile = env.kernel.profile();
+    bool shared_cache = profile.dyldSharedCache;
     if (sharedCacheOverride_ >= 0)
         shared_cache = sharedCacheOverride_ != 0;
+    const std::shared_ptr<const LaunchPlan> plan = launchPlan(image.dylibs);
+    kernel::AddressSpace &mem = env.process().mem();
 
     if (shared_cache) {
         // One mapping covers the whole prelinked cache: the cache is
         // a single system-wide VmObject (created on first boot of any
         // process), entered into this task as a shared submap that
         // fork aliases for free.
-        charge(env.kernel.profile().storageOpenNs);
-        std::uint64_t cache_pages = 0;
-        for (const std::string &name : libraries_.names())
-            if (const binfmt::LibraryImage *img = libraries_.find(name))
-                cache_pages += img->pages;
+        charge(profile.storageOpenNs);
         kernel::VmObjectPtr region =
-            env.kernel.vm().sharedRegion("dyld.shared-cache", cache_pages);
-        if (!env.process().mem().hasMapping("dyld.shared-cache"))
-            env.process().mem().mapObject("dyld.shared-cache",
-                                          std::move(region),
-                                          kernel::VM_PROT_READ,
-                                          /*cow=*/false, /*shared=*/true);
+            env.kernel.vm().sharedRegion("dyld.shared-cache",
+                                         plan->cachePages);
+        if (!mem.hasMapping("dyld.shared-cache"))
+            mem.mapObject("dyld.shared-cache", std::move(region),
+                          kernel::VM_PROT_READ,
+                          /*cow=*/false, /*shared=*/true);
     }
 
     DyldImages &table = images(env);
-    for (const std::string &dep : image.dylibs)
-        loadImage(env, dep, shared_cache, table);
+    LibSystem libc(env);
+    DarwinState &darwin = libc.state();
+    table.loaded.reserve(table.loaded.size() + plan->images);
+    darwin.atexitHandlers.reserve(darwin.atexitHandlers.size() +
+                                  plan->atexitHandlers);
+    darwin.atforkHandlers.reserve(darwin.atforkHandlers.size() +
+                                  plan->atforkHandlers);
+    const std::uint64_t link_ns = profile.cyclesToNs(
+        shared_cache ? kSharedCacheLinkCycles : kLinkCycles);
+
+    for (const LaunchPlan::Step &step : plan->steps) {
+        if (!step.image) {
+            warn("dyld: image not found: ", step.name);
+            continue;
+        }
+        const binfmt::LibraryImage &img = *step.image;
+        if (!table.insert(img))
+            continue;
+        if (!shared_cache) {
+            // Walk the filesystem and map the image individually.
+            // These pages are what fork() must write-protect-sweep.
+            int fd = libc.open(step.path, kernel::oflag::RDONLY);
+            if (fd >= 0)
+                libc.close(fd);
+            charge(link_ns);
+            mem.addMapping(step.mapping, img.pages);
+        } else {
+            // Shared-cache images live in the shared region mapped
+            // above; no per-image mapping.
+            charge(link_ns);
+        }
+
+        // dyld registers an exit-time callback for every image, and
+        // the image's own runtime may install pthread_atfork
+        // callbacks.
+        darwin.atexitHandlers.emplace_back([] {});
+        for (int i = 0; i < img.atforkHandlers; ++i)
+            darwin.atforkHandlers.push_back({[] {}, [] {}, [] {}});
+        for (int i = 1; i < img.exitHandlers; ++i)
+            darwin.atexitHandlers.emplace_back([] {});
+    }
 }
 
 binfmt::MachOBootstrap

@@ -11,13 +11,20 @@
  * the shared cache. Both behaviours are implemented here, switched by
  * the device profile's dyldSharedCache flag (Figure 5's fork/exec
  * group and the shared-cache ablation).
+ *
+ * The simulated walk is charged on every exec, but the host resolves
+ * it once: the first launch of a root list builds a launch plan (the
+ * deduplicated depth-first image list with its prebuilt paths), and
+ * every later launch replays it. Plans are host-only state; see
+ * DESIGN.md, "Prelinked launch plan".
  */
 
 #ifndef CIDER_IOS_DYLD_H
 #define CIDER_IOS_DYLD_H
 
-#include <atomic>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -31,7 +38,13 @@ namespace cider::ios {
 struct DyldImages
 {
     std::vector<const binfmt::LibraryImage *> loaded;
-    std::map<std::string, const binfmt::LibraryImage *> byName;
+    /** Which registry slots (LibraryImage::index) loaded holds: the
+     *  by-name dedupe. */
+    std::vector<bool> has;
+
+    /** Append @p img unless an image of its name is loaded already;
+     *  false when one is. */
+    bool insert(const binfmt::LibraryImage &img);
 };
 
 class Dyld
@@ -47,8 +60,9 @@ class Dyld
 
     /**
      * The loader-invoked bootstrap: resolve the image's dylib
-     * closure, map every library, register atfork handlers and the
-     * per-image exit callbacks with libSystem, and run initialisers.
+     * closure, map every library, and register atfork handlers and
+     * the per-image exit callbacks with libSystem. An image the
+     * process has loaded already is skipped.
      */
     void bootstrap(binfmt::UserEnv &env,
                    const binfmt::MachOImage &image);
@@ -67,24 +81,33 @@ class Dyld
         sharedCacheOverride_ = enabled;
     }
 
-    std::uint64_t
-    imagesLoaded() const
-    {
-        return imagesLoaded_.load(std::memory_order_relaxed);
-    }
-
     /** A MachOBootstrap adapter for the kernel loader seam. */
     binfmt::MachOBootstrap asBootstrap();
 
   private:
-    void loadImage(binfmt::UserEnv &env, const std::string &name,
-                   bool shared_cache, DyldImages &table);
+    struct LaunchPlan;
+
+    /** The plan for @p roots at the registry's current generation,
+     *  built on first use. */
+    std::shared_ptr<const LaunchPlan>
+    launchPlan(const std::vector<std::string> &roots);
+    void planImage(const std::string &name, DyldImages &seen,
+                   LaunchPlan &plan) const;
 
     binfmt::LibraryRegistry &libraries_;
     std::string libraryDir_;
     int sharedCacheOverride_ = -1;
-    /** Relaxed atomic: fleet sessions bootstrap concurrently. */
-    std::atomic<std::uint64_t> imagesLoaded_{0};
+
+    /**
+     * Guards the plan cache. Taken only to find or build a plan,
+     * never across a trap: traps are SchedRail yield points, and a
+     * rail guest holding it there could block every other guest.
+     */
+    std::mutex planMu_;
+    /** Plans by root list, all built at registry generation planGen_. */
+    std::map<std::vector<std::string>, std::shared_ptr<const LaunchPlan>>
+        plans_;
+    std::uint64_t planGen_ = 0;
 };
 
 } // namespace cider::ios

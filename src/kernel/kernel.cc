@@ -389,13 +389,14 @@ Kernel::trap(Thread &t, TrapClass cls, int nr, SyscallArgs args)
     return r;
 }
 
-void
+std::unique_ptr<TrapDispatcher>
 Kernel::setDispatcher(std::unique_ptr<TrapDispatcher> d)
 {
     if (!d)
         // invariant-only: dispatchers are installed by in-tree setup.
         cider_panic("null dispatcher");
-    dispatcher_ = std::move(d);
+    dispatcher_.swap(d);
+    return d;
 }
 
 void

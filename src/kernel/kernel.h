@@ -234,7 +234,10 @@ class Kernel
      */
     SyscallResult trap(Thread &t, TrapClass cls, int nr, SyscallArgs args);
 
-    void setDispatcher(std::unique_ptr<TrapDispatcher> d);
+    /** Install @p d; returns the dispatcher it replaces, so a wrapper
+     *  can keep it and forward to it. */
+    std::unique_ptr<TrapDispatcher>
+    setDispatcher(std::unique_ptr<TrapDispatcher> d);
     TrapDispatcher &dispatcher() { return *dispatcher_; }
     SyscallTable &linuxTable() { return linuxTable_; }
 
