@@ -71,6 +71,8 @@ LibraryRegistry::add(LibraryImage image)
     std::unique_ptr<LibraryImage> &slot = images_[ref.name];
     ref.index = slot ? slot->index
                      : static_cast<std::uint32_t>(images_.size() - 1);
+    if (slot)
+        retired_.push_back(std::move(slot));
     slot = std::move(ptr);
     ++generation_;
     return ref;

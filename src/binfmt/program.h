@@ -118,8 +118,9 @@ struct LibraryImage
 class LibraryRegistry
 {
   public:
-    /** Register @p image, replacing any image of the same name, and
-     *  move generation(). */
+    /** Register @p image, replacing any image of the same name (the
+     *  replaced one stays alive with the registry), and move
+     *  generation(). */
     LibraryImage &add(LibraryImage image);
     LibraryImage *find(const std::string &name);
     const LibraryImage *find(const std::string &name) const;
@@ -133,6 +134,9 @@ class LibraryRegistry
 
   private:
     std::map<std::string, std::unique_ptr<LibraryImage>> images_;
+    /** Images add() replaced: a process that loaded one still points
+     *  at it from its dyld image table. */
+    std::vector<std::unique_ptr<LibraryImage>> retired_;
     std::uint64_t generation_ = 0;
 };
 

@@ -24,7 +24,6 @@
 #include "ios/iosurface_lib.h"
 #include "ios/libsystem.h"
 #include "ios/services.h"
-#include "kernel/linux_syscalls.h"
 
 namespace cider::core {
 
@@ -32,7 +31,6 @@ CiderSystem::CiderSystem(const SystemOptions &opts)
     : opts_(opts), profile_(profileFor(opts.config))
 {
     kernel_ = std::make_unique<kernel::Kernel>(profile_);
-    kernel::buildLinuxSyscallTable(*kernel_);
     machIpc_ = std::make_unique<xnu::MachIpc>();
     // Zero-copy OOL and body auto-promotion account against the
     // kernel's VM subsystem (and its device profile).
@@ -221,8 +219,7 @@ CiderSystem::setupCiderExtensions()
     iokit::IOAccelerator::registerDriver(cxxRuntime_, *ioCatalogue_);
     cxxRuntime_.bootConstructors();
 
-    iokit::registerIoKitTraps(persona_->machTable(), *ioRegistry_,
-                              *ioCatalogue_);
+    iokit::registerIoKitTraps(persona_->machTable(), *ioCatalogue_);
 
     // /proc/cider/iokit: the registry tree + matching statistics.
     kernel_->addProcNode("iokit", [&registry = *ioRegistry_,
@@ -512,20 +509,27 @@ CiderSystem::runProgramTimed(const std::string &path,
     kernel::Process &proc =
         kernel_->createProcess(name, kernel::Persona::Android);
     kernel::Thread &main = proc.mainThread();
-    kernel::ThreadScope scope(main);
     int code = 0;
-    try {
-        kernel::SyscallResult r = kernel_->sysExecve(main, path, argv);
-        if (!r.ok()) {
-            code = 127;
-            proc.terminate(code, main.clock().now());
+    std::uint64_t ns = 0;
+    {
+        kernel::ThreadScope scope(main);
+        try {
+            kernel::SyscallResult r = kernel_->sysExecve(main, path, argv);
+            if (!r.ok()) {
+                code = 127;
+                proc.terminate(code, main.clock().now());
+            }
+        } catch (const kernel::ProcessExit &e) {
+            code = e.code;
         }
-    } catch (const kernel::ProcessExit &e) {
-        code = e.code;
+        ns = main.clock().now();
     }
+    // No parent waits for this process: reap it, or its address space
+    // lives as long as the system.
+    kernel_->reapProcess(proc.pid());
     if (exit_code)
         *exit_code = code;
-    return main.clock().now();
+    return ns;
 }
 
 int
@@ -538,15 +542,18 @@ CiderSystem::runInProcess(
         xnu::setBootstrapPort(*machIpc_, proc,
                               launchd_->bootstrapPortObject());
     kernel::Thread &main = proc.mainThread();
-    kernel::ThreadScope scope(main);
-    binfmt::UserEnv env{*kernel_, main, {name}};
     int rc = 0;
-    try {
-        rc = fn(env);
-    } catch (const kernel::ProcessExit &e) {
-        rc = e.code;
+    {
+        kernel::ThreadScope scope(main);
+        binfmt::UserEnv env{*kernel_, main, {name}};
+        try {
+            rc = fn(env);
+        } catch (const kernel::ProcessExit &e) {
+            rc = e.code;
+        }
+        proc.terminate(rc, main.clock().now());
     }
-    proc.terminate(rc, main.clock().now());
+    kernel_->reapProcess(proc.pid());
     return rc;
 }
 

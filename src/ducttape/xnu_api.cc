@@ -508,167 +508,20 @@ zone_drain_cpu_caches(ZoneT *z)
     }
 }
 
-namespace {
-
-/**
- * Size-class cache behind xnu_kalloc/xnu_kfree, mirroring XNU's
- * kalloc zones: power-of-two classes from 16 bytes to 4 KiB, each
- * with an intrusive free-list of recycled blocks. Larger requests
- * fall through to the domestic heap. Per-class depth is capped so a
- * burst cannot pin unbounded memory.
- *
- * SMP decomposition: the single cache-wide mutex became one lock per
- * size class in the global tier, plus a small per-simulated-CPU front
- * cache (used when the host thread is CPU-bound via kernel::CpuScope)
- * so the steady-state kalloc/kfree cycle of concurrent host threads
- * touches no shared lock at all.
- */
-class KallocCache
-{
-  public:
-    ~KallocCache()
-    {
-        for (std::size_t c = 0; c < kClasses; ++c) {
-            void *p = global_[c].head;
-            while (p) {
-                void *next = freeLink(p);
-                std::free(p);
-                p = next;
-            }
-        }
-        for (CpuCache &cc : cpus_)
-            for (std::size_t c = 0; c < kClasses; ++c) {
-                void *p = cc.heads[c];
-                while (p) {
-                    void *next = freeLink(p);
-                    std::free(p);
-                    p = next;
-                }
-            }
-    }
-
-    void *
-    alloc(std::size_t size)
-    {
-        int c = classIndex(size);
-        if (c < 0)
-            return std::malloc(size);
-        auto uc = static_cast<std::size_t>(c);
-        int cpu = kernel::PerCpu::currentCpu();
-        if (cpu >= 0) {
-            CpuCache &cc = cpus_[static_cast<std::size_t>(cpu)];
-            std::lock_guard<std::mutex> lock(cc.mu);
-            if (void *p = cc.heads[uc]) {
-                cc.heads[uc] = freeLink(p);
-                --cc.depth[uc];
-                return p;
-            }
-        }
-        GlobalClass &g = global_[uc];
-        std::lock_guard<std::mutex> lock(g.mu);
-        if (void *p = g.head) {
-            g.head = freeLink(p);
-            --g.depth;
-            return p;
-        }
-        return std::malloc(classSize(c));
-    }
-
-    void
-    free(void *p, std::size_t size)
-    {
-        int c = classIndex(size);
-        if (c < 0) {
-            std::free(p);
-            return;
-        }
-        auto uc = static_cast<std::size_t>(c);
-        int cpu = kernel::PerCpu::currentCpu();
-        if (cpu >= 0) {
-            CpuCache &cc = cpus_[static_cast<std::size_t>(cpu)];
-            std::lock_guard<std::mutex> lock(cc.mu);
-            if (cc.depth[uc] < kCpuDepth) {
-                freeLink(p) = cc.heads[uc];
-                cc.heads[uc] = p;
-                ++cc.depth[uc];
-                return;
-            }
-        }
-        GlobalClass &g = global_[uc];
-        std::lock_guard<std::mutex> lock(g.mu);
-        if (g.depth >= kMaxDepth) {
-            std::free(p);
-            return;
-        }
-        freeLink(p) = g.head;
-        g.head = p;
-        ++g.depth;
-    }
-
-  private:
-    static constexpr std::size_t kClasses = 9; // 16 .. 4096
-    static constexpr std::size_t kMaxDepth = 1024; ///< per class, global
-    static constexpr std::size_t kCpuDepth = 64;   ///< per class, per CPU
-
-    static std::size_t classSize(int c)
-    {
-        return std::size_t{16} << c;
-    }
-
-    /** Smallest class covering @p size, or -1 for heap fallthrough. */
-    static int classIndex(std::size_t size)
-    {
-        if (size == 0 || size > 4096)
-            return -1;
-        int c = 0;
-        while (classSize(c) < size)
-            ++c;
-        return c;
-    }
-
-    struct GlobalClass
-    {
-        std::mutex mu;
-        void *head = nullptr;
-        std::size_t depth = 0;
-    };
-
-    struct CpuCache
-    {
-        std::mutex mu;
-        void *heads[kClasses] = {};
-        std::size_t depth[kClasses] = {};
-    };
-
-    GlobalClass global_[kClasses];
-    std::array<CpuCache, kernel::kMaxCpus> cpus_;
-};
-
-KallocCache &
-kallocCache()
-{
-    static KallocCache cache;
-    return cache;
-}
-
-} // namespace
-
 void *
 xnu_kalloc(std::size_t size)
 {
     charge(kKallocNs);
     if (CIDER_FAULT_POINT("kalloc.alloc"))
         return nullptr;
-    return kallocCache().alloc(size);
+    return std::malloc(size);
 }
 
 void
-xnu_kfree(void *p, std::size_t size)
+xnu_kfree(void *p, std::size_t)
 {
     charge(kZfreeNs);
-    if (!p)
-        return;
-    kallocCache().free(p, size);
+    std::free(p);
 }
 
 struct WaitQ

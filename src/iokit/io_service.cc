@@ -149,44 +149,54 @@ IOCatalogue::terminate(IOService *service)
     return true;
 }
 
-void
-registerIoKitTraps(kernel::SyscallTable &mach_table, IORegistry &registry,
-                   IOCatalogue &catalogue)
+namespace {
+
+IOCatalogue &
+catalogueOf(void *user)
 {
-    // These capture two subsystem references, which does not fit the
-    // one-word fast path; they register via the std::function fallback.
+    return *static_cast<IOCatalogue *>(user);
+}
+
+} // namespace
+
+void
+registerIoKitTraps(kernel::SyscallTable &mach_table, IOCatalogue &catalogue)
+{
     mach_table.set(
         iokitno::GET_MATCHING_SERVICE, "io_service_get_matching_service",
-        kernel::SyscallHandler(
-            [&catalogue, &registry](kernel::TrapContext &c) {
-                const std::string &class_name = c.args.str(0);
-                if (IOService *service =
-                        catalogue.findService(class_name))
-                    return kernel::SyscallResult::success(
-                        static_cast<std::int64_t>(service->entryId()));
-                if (IORegistryEntry *entry =
-                        registry.findByName(class_name))
-                    return kernel::SyscallResult::success(
-                        static_cast<std::int64_t>(entry->entryId()));
-                return kernel::SyscallResult::success(0);
-            }));
+        [](kernel::TrapContext &c, void *u) {
+            IOCatalogue &catalogue = catalogueOf(u);
+            const std::string &class_name = c.args.str(0);
+            if (IOService *service = catalogue.findService(class_name))
+                return kernel::SyscallResult::success(
+                    static_cast<std::int64_t>(service->entryId()));
+            if (IORegistryEntry *entry =
+                    catalogue.registry().findByName(class_name))
+                return kernel::SyscallResult::success(
+                    static_cast<std::int64_t>(entry->entryId()));
+            return kernel::SyscallResult::success(0);
+        },
+        &catalogue);
 
     mach_table.set(
         iokitno::GET_PROPERTY, "io_registry_entry_get_property",
-        kernel::SyscallHandler([&registry](kernel::TrapContext &c) {
-            IORegistryEntry *entry = registry.findById(c.args.u64(0));
+        [](kernel::TrapContext &c, void *u) {
+            IORegistryEntry *entry =
+                catalogueOf(u).registry().findById(c.args.u64(0));
             auto *out = static_cast<std::string *>(c.args.ptr(2));
             if (!entry || !out)
                 return kernel::SyscallResult::success(
                     xnu::KERN_INVALID_NAME);
             *out = osValueString(entry->property(c.args.str(1)));
             return kernel::SyscallResult::success(xnu::KERN_SUCCESS);
-        }));
+        },
+        &catalogue);
 
     mach_table.set(
         iokitno::CONNECT_CALL_METHOD, "io_connect_call_method",
-        kernel::SyscallHandler([&registry](kernel::TrapContext &c) {
-            IORegistryEntry *entry = registry.findById(c.args.u64(0));
+        [](kernel::TrapContext &c, void *u) {
+            IORegistryEntry *entry =
+                catalogueOf(u).registry().findById(c.args.u64(0));
             auto *io = static_cast<IoConnectArgs *>(c.args.ptr(2));
             auto *service = dynamic_cast<IOService *>(entry);
             if (!service || !io)
@@ -196,7 +206,8 @@ registerIoKitTraps(kernel::SyscallTable &mach_table, IORegistry &registry,
                 static_cast<std::uint32_t>(c.args.u64(1)), io->input,
                 io->output);
             return kernel::SyscallResult::success(kr);
-        }));
+        },
+        &catalogue);
 }
 
 namespace {

@@ -130,6 +130,9 @@ class IOCatalogue
     /** Re-run matching for one published provider entry. */
     void rematch(IORegistryEntry &entry) { matchEntry(entry); }
 
+    /** The registry the catalogue matches against. */
+    IORegistry &registry() const { return registry_; }
+
     const std::vector<IOService *> &services() const
     {
         return services_;
@@ -163,9 +166,9 @@ struct IoConnectArgs
     std::vector<std::int64_t> output;
 };
 
-/** Expose the registry/catalogue through Mach traps. */
+/** Expose @p catalogue and its registry through Mach traps. */
 void registerIoKitTraps(kernel::SyscallTable &mach_table,
-                        IORegistry &registry, IOCatalogue &catalogue);
+                        IOCatalogue &catalogue);
 
 /** Text of /proc/cider/iokit: registry tree, services, personality
  *  stats. */

@@ -179,22 +179,6 @@ SyscallTable::set(int nr, const char *sys_name, SyscallFn fn,
     return e;
 }
 
-SyscallTable::Entry &
-SyscallTable::set(int nr, const char *sys_name, SyscallHandler fallback)
-{
-    Entry &e = slotFor(nr, sys_name);
-    if (!e.empty())
-        // invariant-only: duplicate registration is an in-tree bug.
-        cider_panic("syscall table ", name_, ": duplicate registration "
-                    "of nr ", nr, " (", e.name ? e.name : "?", " vs ",
-                    sys_name, ")");
-    e.name = sys_name;
-    e.fallback = std::move(fallback);
-    e.stat = std::make_unique<SyscallStat>();
-    ++count_;
-    return e;
-}
-
 const char *
 SyscallTable::sysName(int nr) const
 {
@@ -226,6 +210,7 @@ Kernel::Kernel(const hw::DeviceProfile &profile)
     vfs_.mkdirAll("/system/bin");
     vfs_.mkdirAll("/system/lib");
 
+    registerLinuxSyscalls();
     trapStats_.attachTable(linuxTable_);
     vfs_.mkdirAll("/proc/cider");
     addProcNode("trapstats", [this] { return trapStats_.dump(); });
@@ -329,10 +314,7 @@ SyscallResult
 Kernel::trap(Thread &t, TrapClass cls, int nr, SyscallArgs args)
 {
     CIDER_SCHED_POINT("trap.enter");
-    TrapContext ctx{*this,       t,
-                    cls,         nr,
-                    args,        t.persona(),
-                    t.clock().now(), &trapStats_.tracer()};
+    TrapContext ctx{*this, t, cls, nr, args, t.persona(), t.clock().now()};
     charge(profile_.trapEnterExitNs);
     SyscallResult r;
     try {

@@ -50,16 +50,12 @@ struct StatBuf
 };
 
 /**
- * A syscall implementation on the fast path: a raw function pointer
- * plus one user-data word (the subsystem the handler routes into).
- * Captureless lambdas convert to this directly, so almost every
- * handler dispatches without a type-erased std::function call.
+ * A syscall implementation: a raw function pointer plus one user-data
+ * word (the subsystem the handler routes into). Captureless lambdas
+ * convert to this directly, so every handler dispatches with one
+ * indirect call.
  */
 using SyscallFn = SyscallResult (*)(TrapContext &, void *user);
-
-/** Fallback handler for registrations that need to capture more than
- *  one word of state (rare; pays a std::function indirection). */
-using SyscallHandler = std::function<SyscallResult(TrapContext &)>;
 
 /**
  * One syscall dispatch table. Cider maintains one or more of these
@@ -79,7 +75,6 @@ class SyscallTable
         const char *name = nullptr; ///< static registration string
         SyscallFn fn = nullptr;
         void *user = nullptr;
-        SyscallHandler fallback;
         /** Per-syscall counters (stable address; see trap_stats.h). */
         std::unique_ptr<SyscallStat> stat;
         /**
@@ -92,23 +87,17 @@ class SyscallTable
          */
         bool returnsKr = false;
 
-        bool empty() const { return fn == nullptr && !fallback; }
+        bool empty() const { return fn == nullptr; }
 
-        SyscallResult
-        call(TrapContext &ctx) const
-        {
-            return fn ? fn(ctx, user) : fallback(ctx);
-        }
+        SyscallResult call(TrapContext &ctx) const { return fn(ctx, user); }
     };
 
     explicit SyscallTable(std::string name) : name_(std::move(name)) {}
 
-    /** Register the fast-path form. Panics on duplicate @p nr.
+    /** Register @p fn with its user word. Panics on duplicate @p nr.
      *  Returns the entry so registrars can tag it (returnsKr). */
     Entry &set(int nr, const char *sys_name, SyscallFn fn,
                void *user = nullptr);
-    /** Register the capture-heavy fallback form. Panics on duplicate. */
-    Entry &set(int nr, const char *sys_name, SyscallHandler fallback);
 
     /** O(1) lookup; null when @p nr has no handler. */
     const Entry *
@@ -383,6 +372,10 @@ class Kernel
     void checkPendingSignals(Thread &t);
 
   private:
+    /** Fill linuxTable_ with the domestic implementations
+     *  (linux_syscalls.cc). */
+    void registerLinuxSyscalls();
+
     /** Fire the unload hooks for @p proc's current image. */
     void notifyUnload(Process &proc);
 

@@ -6,9 +6,9 @@
 namespace cider::kernel {
 
 void
-buildLinuxSyscallTable(Kernel &k)
+Kernel::registerLinuxSyscalls()
 {
-    SyscallTable &tbl = k.linuxTable();
+    SyscallTable &tbl = linuxTable_;
 
     tbl.set(sysno::NULL_SYSCALL, "null", [](TrapContext &c, void *) {
         return c.kernel.sysNull(c.thread);

@@ -1,7 +1,8 @@
 /**
  * @file
- * Linux syscall numbers (ARM-flavoured) and the domestic dispatch
- * table builder.
+ * Linux syscall numbers (ARM-flavoured). The kernel registers its
+ * Linux table under these numbers when it is constructed
+ * (linux_syscalls.cc).
  *
  * User-space libc wrappers trap with these numbers so every call goes
  * through the kernel's dispatcher — which is exactly where Cider's
@@ -12,8 +13,6 @@
 #define CIDER_KERNEL_LINUX_SYSCALLS_H
 
 namespace cider::kernel {
-
-class Kernel;
 
 /** Syscall numbers of the simulated Linux ABI. */
 namespace sysno {
@@ -60,9 +59,6 @@ inline constexpr int NULL_SYSCALL = 999; ///< lmbench's do-nothing probe
 inline constexpr int SET_PERSONA = 983045;
 
 } // namespace sysno
-
-/** Populate @p k's Linux table with the domestic implementations. */
-void buildLinuxSyscallTable(Kernel &k);
 
 } // namespace cider::kernel
 

@@ -5,18 +5,22 @@
 
 namespace cider::kernel {
 
+namespace {
+
+constexpr std::size_t kPipeCapacity = 64 * 1024;
+
+} // namespace
+
 SyscallResult
-Pipe::read(Bytes &out, std::size_t n, bool nonblock)
+ByteChannel::read(Bytes &out, std::size_t n)
 {
     std::unique_lock<std::mutex> lock(mu_);
     while (buf_.empty()) {
-        if (!writeOpen_)
+        if (!writerOpen_)
             return SyscallResult::success(0); // EOF
-        if (nonblock)
-            return SyscallResult::failure(lnx::AGAIN);
         cv_.wait(lock);
     }
-    charge(profile_.pipeTransferNs / 2);
+    charge(transferNs_);
     std::size_t take = std::min(n, buf_.size());
     out.assign(buf_.begin(),
                buf_.begin() + static_cast<std::ptrdiff_t>(take));
@@ -26,52 +30,59 @@ Pipe::read(Bytes &out, std::size_t n, bool nonblock)
 }
 
 SyscallResult
-Pipe::write(const Bytes &data, bool nonblock)
+ByteChannel::write(const Bytes &data)
 {
     std::unique_lock<std::mutex> lock(mu_);
-    if (!readOpen_)
+    if (!readerOpen_)
         return SyscallResult::failure(lnx::PIPE);
-    while (buf_.size() + data.size() > capacity) {
-        if (nonblock)
-            return SyscallResult::failure(lnx::AGAIN);
+    while (buf_.size() + data.size() > capacity_) {
         cv_.wait(lock);
-        if (!readOpen_)
+        if (!readerOpen_)
             return SyscallResult::failure(lnx::PIPE);
     }
-    charge(profile_.pipeTransferNs / 2);
+    charge(transferNs_);
     buf_.insert(buf_.end(), data.begin(), data.end());
     cv_.notify_all();
     return SyscallResult::success(static_cast<std::int64_t>(data.size()));
 }
 
 void
-Pipe::closeReadEnd()
+ByteChannel::closeReader()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    readOpen_ = false;
+    readerOpen_ = false;
     cv_.notify_all();
 }
 
 void
-Pipe::closeWriteEnd()
+ByteChannel::closeWriter()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    writeOpen_ = false;
+    writerOpen_ = false;
+    cv_.notify_all();
+}
+
+void
+ByteChannel::shutdown()
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    readerOpen_ = false;
+    writerOpen_ = false;
     cv_.notify_all();
 }
 
 bool
-Pipe::readable() const
+ByteChannel::readable() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return !buf_.empty() || !writeOpen_;
+    return !buf_.empty() || !writerOpen_;
 }
 
 bool
-Pipe::writable() const
+ByteChannel::writable() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return readOpen_ && buf_.size() < capacity;
+    return readerOpen_ && buf_.size() < capacity_;
 }
 
 SyscallResult
@@ -79,7 +90,7 @@ PipeEnd::read(Thread &, Bytes &out, std::size_t n)
 {
     if (!readEnd_)
         return SyscallResult::failure(lnx::BADF);
-    return pipe_->read(out, n, false);
+    return pipe_->read(out, n);
 }
 
 SyscallResult
@@ -87,7 +98,7 @@ PipeEnd::write(Thread &, const Bytes &data)
 {
     if (readEnd_)
         return SyscallResult::failure(lnx::BADF);
-    return pipe_->write(data, false);
+    return pipe_->write(data);
 }
 
 PollState
@@ -105,15 +116,16 @@ void
 PipeEnd::closed()
 {
     if (readEnd_)
-        pipe_->closeReadEnd();
+        pipe_->closeReader();
     else
-        pipe_->closeWriteEnd();
+        pipe_->closeWriter();
 }
 
 std::pair<std::shared_ptr<PipeEnd>, std::shared_ptr<PipeEnd>>
 makePipe(const hw::DeviceProfile &profile)
 {
-    auto pipe = std::make_shared<Pipe>(profile);
+    auto pipe = std::make_shared<ByteChannel>(kPipeCapacity,
+                                              profile.pipeTransferNs / 2);
     return {std::make_shared<PipeEnd>(pipe, true),
             std::make_shared<PipeEnd>(pipe, false)};
 }

@@ -1,6 +1,7 @@
 /**
  * @file
- * Anonymous pipes for the simulated domestic kernel.
+ * Anonymous pipes for the simulated domestic kernel, and the bounded
+ * byte channel behind both pipes and AF_UNIX streams.
  */
 
 #ifndef CIDER_KERNEL_PIPE_H
@@ -20,41 +21,48 @@ struct DeviceProfile;
 namespace cider::kernel {
 
 /**
- * Shared pipe state: a bounded byte queue plus liveness of each end.
- * Blocking readers/writers park on host condition variables; their
- * virtual clocks do not advance while blocked, which matches how
- * lmbench-style latency is attributed to the running side.
+ * A bounded byte queue with one reader side and one writer side: a
+ * pipe, or one direction of a connected AF_UNIX stream. A drained read
+ * returns EOF once the writer side is closed; a write fails with EPIPE
+ * once the reader side is closed. Every read or write that moves bytes
+ * charges the per-transfer cost. Blocking readers/writers park on host
+ * condition variables; their virtual clocks do not advance while
+ * blocked, which matches how lmbench-style latency is attributed to
+ * the running side.
  */
-class Pipe
+class ByteChannel
 {
   public:
-    static constexpr std::size_t capacity = 64 * 1024;
+    ByteChannel(std::size_t capacity, std::uint64_t transfer_ns)
+        : capacity_(capacity), transferNs_(transfer_ns)
+    {}
 
-    explicit Pipe(const hw::DeviceProfile &profile) : profile_(profile) {}
+    SyscallResult read(Bytes &out, std::size_t n);
+    SyscallResult write(const Bytes &data);
 
-    SyscallResult read(Bytes &out, std::size_t n, bool nonblock);
-    SyscallResult write(const Bytes &data, bool nonblock);
-
-    void closeReadEnd();
-    void closeWriteEnd();
+    void closeReader();
+    void closeWriter();
+    /** Close both sides, waking every blocked reader and writer. */
+    void shutdown();
 
     bool readable() const;
     bool writable() const;
 
   private:
-    const hw::DeviceProfile &profile_;
+    const std::size_t capacity_;
+    const std::uint64_t transferNs_;
     mutable std::mutex mu_;
     std::condition_variable cv_;
     std::deque<std::uint8_t> buf_;
-    bool readOpen_ = true;
-    bool writeOpen_ = true;
+    bool readerOpen_ = true;
+    bool writerOpen_ = true;
 };
 
 /** One end of a pipe, installed in a descriptor table. */
 class PipeEnd : public OpenFile
 {
   public:
-    PipeEnd(std::shared_ptr<Pipe> pipe, bool is_read_end)
+    PipeEnd(std::shared_ptr<ByteChannel> pipe, bool is_read_end)
         : pipe_(std::move(pipe)), readEnd_(is_read_end)
     {}
 
@@ -69,7 +77,7 @@ class PipeEnd : public OpenFile
     void closed() override;
 
   private:
-    std::shared_ptr<Pipe> pipe_;
+    std::shared_ptr<ByteChannel> pipe_;
     bool readEnd_;
 };
 

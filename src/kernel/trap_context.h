@@ -22,8 +22,6 @@
 
 namespace cider::kernel {
 
-class TrapTracer;
-
 /**
  * One kernel entry from user space. Created once at Kernel::trap(),
  * filled in as the trap flows down the dispatch layers, and read back
@@ -44,9 +42,6 @@ struct TrapContext
     /** Virtual time of the calling thread at trap entry; the stats
      *  layer derives per-syscall latency from the CostClock delta. */
     std::uint64_t enterNs = 0;
-
-    /** Trace sink for this kernel (never null inside a trap). */
-    TrapTracer *tracer = nullptr;
 
     /** Dispatch table the dispatcher selected (null when the trap was
      *  rejected before table select, e.g. wrong persona). */

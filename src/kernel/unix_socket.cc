@@ -1,77 +1,29 @@
 #include "kernel/unix_socket.h"
 
-#include "base/cost_clock.h"
 #include "hw/device_profile.h"
 
 namespace cider::kernel {
 
-SyscallResult
-SocketStream::read(Bytes &out, std::size_t n, bool nonblock)
+namespace {
+
+constexpr std::size_t kStreamCapacity = 256 * 1024;
+
+/** One direction of a connected stream. */
+std::shared_ptr<ByteChannel>
+makeStream(const hw::DeviceProfile &profile)
 {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (buf_.empty()) {
-        if (!open_)
-            return SyscallResult::success(0);
-        if (nonblock)
-            return SyscallResult::failure(lnx::AGAIN);
-        cv_.wait(lock);
-    }
-    charge(profile_.unixSockTransferNs / 2);
-    std::size_t take = std::min(n, buf_.size());
-    out.assign(buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(take));
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(take));
-    cv_.notify_all();
-    return SyscallResult::success(static_cast<std::int64_t>(take));
+    return std::make_shared<ByteChannel>(kStreamCapacity,
+                                         profile.unixSockTransferNs / 2);
 }
 
-SyscallResult
-SocketStream::write(const Bytes &data, bool nonblock)
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!open_)
-        return SyscallResult::failure(lnx::PIPE);
-    while (buf_.size() + data.size() > capacity) {
-        if (nonblock)
-            return SyscallResult::failure(lnx::AGAIN);
-        cv_.wait(lock);
-        if (!open_)
-            return SyscallResult::failure(lnx::PIPE);
-    }
-    charge(profile_.unixSockTransferNs / 2);
-    buf_.insert(buf_.end(), data.begin(), data.end());
-    cv_.notify_all();
-    return SyscallResult::success(static_cast<std::int64_t>(data.size()));
-}
-
-void
-SocketStream::shutdown()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    open_ = false;
-    cv_.notify_all();
-}
-
-bool
-SocketStream::readable() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return !buf_.empty() || !open_;
-}
-
-bool
-SocketStream::writable() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return open_ && buf_.size() < capacity;
-}
+} // namespace
 
 SyscallResult
 UnixSocket::read(Thread &, Bytes &out, std::size_t n)
 {
     if (state_ != State::Connected)
         return SyscallResult::failure(lnx::NOTSOCK);
-    return rx_->read(out, n, false);
+    return rx_->read(out, n);
 }
 
 SyscallResult
@@ -79,7 +31,7 @@ UnixSocket::write(Thread &, const Bytes &data)
 {
     if (state_ != State::Connected)
         return SyscallResult::failure(lnx::NOTSOCK);
-    return tx_->write(data, false);
+    return tx_->write(data);
 }
 
 PollState
@@ -136,8 +88,8 @@ UnixSocket::makePair(const hw::DeviceProfile &profile)
 {
     auto a = std::make_shared<UnixSocket>(profile);
     auto b = std::make_shared<UnixSocket>(profile);
-    auto ab = std::make_shared<SocketStream>(profile);
-    auto ba = std::make_shared<SocketStream>(profile);
+    auto ab = makeStream(profile);
+    auto ba = makeStream(profile);
     a->state_ = State::Connected;
     b->state_ = State::Connected;
     a->tx_ = ab;
@@ -162,8 +114,8 @@ UnixSocket::connect(const UnixSocketPtr &client,
         return SyscallResult::failure(lnx::AGAIN);
 
     auto server = std::make_shared<UnixSocket>(client->profile_);
-    auto c2s = std::make_shared<SocketStream>(client->profile_);
-    auto s2c = std::make_shared<SocketStream>(client->profile_);
+    auto c2s = makeStream(client->profile_);
+    auto s2c = makeStream(client->profile_);
     client->state_ = State::Connected;
     client->tx_ = c2s;
     client->rx_ = s2c;

@@ -18,36 +18,13 @@
 #include <mutex>
 
 #include "kernel/file.h"
+#include "kernel/pipe.h"
 
 namespace cider::hw {
 struct DeviceProfile;
 } // namespace cider::hw
 
 namespace cider::kernel {
-
-/** One direction of a connected stream. */
-class SocketStream
-{
-  public:
-    static constexpr std::size_t capacity = 256 * 1024;
-
-    explicit SocketStream(const hw::DeviceProfile &profile)
-        : profile_(profile)
-    {}
-
-    SyscallResult read(Bytes &out, std::size_t n, bool nonblock);
-    SyscallResult write(const Bytes &data, bool nonblock);
-    void shutdown();
-    bool readable() const;
-    bool writable() const;
-
-  private:
-    const hw::DeviceProfile &profile_;
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
-    std::deque<std::uint8_t> buf_;
-    bool open_ = true;
-};
 
 class UnixSocket;
 using UnixSocketPtr = std::shared_ptr<UnixSocket>;
@@ -97,8 +74,8 @@ class UnixSocket : public OpenFile
     State state_ = State::Unbound;
     int backlog_ = 0;
     std::deque<UnixSocketPtr> pending_;
-    std::shared_ptr<SocketStream> rx_;
-    std::shared_ptr<SocketStream> tx_;
+    std::shared_ptr<ByteChannel> rx_;
+    std::shared_ptr<ByteChannel> tx_;
 };
 
 /** Pathname → listening socket registry (the socket namespace). */

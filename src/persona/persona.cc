@@ -195,7 +195,7 @@ PersonaManager::PersonaManager(kernel::Kernel &k, xnu::MachIpc &ipc,
       personaCheckNs_(k.profile().cyclesToNs(costs.personaCheckCycles)),
       setPersonaNs_(k.profile().cyclesToNs(costs.setPersonaCycles))
 {
-    xnu::buildXnuBsdTable(xnuBsd_, psynch_);
+    xnu::buildXnuBsdTable(xnuBsd_, k.linuxTable(), psynch_);
     xnu::buildMachTrapTable(mach_, ipc_, psynch_);
     buildMdepTable(mdep_);
 }

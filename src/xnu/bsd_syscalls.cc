@@ -1,6 +1,8 @@
 #include "xnu/bsd_syscalls.h"
 
+#include "base/logging.h"
 #include "kernel/kernel.h"
+#include "kernel/linux_syscalls.h"
 #include "kernel/trap_context.h"
 #include "xnu/psynch.h"
 #include "xnu/xnu_signals.h"
@@ -29,57 +31,65 @@ psynchOf(void *user)
     return *static_cast<PsynchSubsystem *>(user);
 }
 
+/** An XNU BSD syscall whose Linux body serves it unchanged: the
+ *  dispatcher has already translated the calling convention, so the
+ *  entry differs from the Linux one only in its number and name. */
+struct SharedBody
+{
+    int xnuNr;
+    int linuxNr;
+    const char *name;
+};
+
+constexpr SharedBody kSharedBodies[] = {
+    {xnuno::NULL_SYSCALL, kernel::sysno::NULL_SYSCALL, "null"},
+    {xnuno::EXIT, kernel::sysno::EXIT, "exit"},
+    {xnuno::FORK, kernel::sysno::FORK, "fork"},
+    {xnuno::READ, kernel::sysno::READ, "read"},
+    {xnuno::WRITE, kernel::sysno::WRITE, "write"},
+    {xnuno::OPEN, kernel::sysno::OPEN, "open"},
+    {xnuno::CLOSE, kernel::sysno::CLOSE, "close"},
+    {xnuno::WAIT4, kernel::sysno::WAITPID, "wait4"},
+    {xnuno::UNLINK, kernel::sysno::UNLINK, "unlink"},
+    {xnuno::GETPID, kernel::sysno::GETPID, "getpid"},
+    {xnuno::DUP, kernel::sysno::DUP, "dup"},
+    {xnuno::PIPE, kernel::sysno::PIPE, "pipe"},
+    {xnuno::IOCTL, kernel::sysno::IOCTL, "ioctl"},
+    {xnuno::LSEEK, kernel::sysno::LSEEK, "lseek"},
+    {xnuno::STAT, kernel::sysno::STAT, "stat"},
+    {xnuno::RENAME, kernel::sysno::RENAME, "rename"},
+    {xnuno::DUP2, kernel::sysno::DUP2, "dup2"},
+    {xnuno::GETPPID, kernel::sysno::GETPPID, "getppid"},
+    {xnuno::EXECVE, kernel::sysno::EXECVE, "execve"},
+    {xnuno::SELECT, kernel::sysno::SELECT, "select"},
+    {xnuno::SOCKET, kernel::sysno::SOCKET, "socket"},
+    {xnuno::CONNECT, kernel::sysno::CONNECT, "connect"},
+    {xnuno::ACCEPT, kernel::sysno::ACCEPT, "accept"},
+    {xnuno::BIND, kernel::sysno::BIND, "bind"},
+    {xnuno::LISTEN, kernel::sysno::LISTEN, "listen"},
+    {xnuno::SOCKETPAIR, kernel::sysno::SOCKETPAIR, "socketpair"},
+    {xnuno::SENDTO, kernel::sysno::SENDTO, "sendto"},
+    {xnuno::RECVFROM, kernel::sysno::RECVFROM, "recvfrom"},
+    {xnuno::SHUTDOWN, kernel::sysno::SHUTDOWN, "shutdown"},
+    {xnuno::MKDIR, kernel::sysno::MKDIR, "mkdir"},
+    {xnuno::RMDIR, kernel::sysno::RMDIR, "rmdir"},
+};
+
 } // namespace
 
 void
-buildXnuBsdTable(SyscallTable &tbl, PsynchSubsystem &psynch)
+buildXnuBsdTable(SyscallTable &tbl, const SyscallTable &linux_table,
+                 PsynchSubsystem &psynch)
 {
-    tbl.set(xnuno::NULL_SYSCALL, "null", [](TrapContext &c, void *) {
-        return c.kernel.sysNull(c.thread);
-    });
-
-    tbl.set(xnuno::EXIT, "exit", [](TrapContext &c, void *) {
-        c.kernel.sysExit(c.thread, c.args.i32(0));
-        return SyscallResult::success();
-    });
-
-    tbl.set(xnuno::FORK, "fork", [](TrapContext &c, void *) {
-        auto *body = static_cast<kernel::EntryFn *>(c.args.ptr(0));
-        return c.kernel.sysFork(c.thread,
-                                body ? *body : kernel::EntryFn());
-    });
-
-    tbl.set(xnuno::READ, "read", [](TrapContext &c, void *) {
-        return c.kernel.sysRead(c.thread, c.args.i32(0),
-                                *c.args.bytes(1),
-                                static_cast<std::size_t>(c.args.u64(2)));
-    });
-
-    tbl.set(xnuno::WRITE, "write", [](TrapContext &c, void *) {
-        return c.kernel.sysWrite(c.thread, c.args.i32(0),
-                                 *c.args.cbytes(1));
-    });
-
-    tbl.set(xnuno::OPEN, "open", [](TrapContext &c, void *) {
-        return c.kernel.sysOpen(c.thread, c.args.str(0), c.args.i32(1));
-    });
-
-    tbl.set(xnuno::CLOSE, "close", [](TrapContext &c, void *) {
-        return c.kernel.sysClose(c.thread, c.args.i32(0));
-    });
-
-    tbl.set(xnuno::WAIT4, "wait4", [](TrapContext &c, void *) {
-        return c.kernel.sysWaitpid(c.thread, c.args.i32(0),
-                                   static_cast<int *>(c.args.ptr(1)));
-    });
-
-    tbl.set(xnuno::UNLINK, "unlink", [](TrapContext &c, void *) {
-        return c.kernel.sysUnlink(c.thread, c.args.str(0));
-    });
-
-    tbl.set(xnuno::GETPID, "getpid", [](TrapContext &c, void *) {
-        return c.kernel.sysGetpid(c.thread);
-    });
+    for (const SharedBody &row : kSharedBodies) {
+        const SyscallTable::Entry *e = linux_table.find(row.linuxNr);
+        if (!e)
+            // invariant-only: both tables are built from in-tree
+            // registrations.
+            cider_panic("xnu-bsd: no Linux body for ", row.name,
+                        " (linux nr ", row.linuxNr, ")");
+        tbl.set(row.xnuNr, row.name, e->fn, e->user);
+    }
 
     tbl.set(xnuno::KILL, "kill", [](TrapContext &c, void *) {
         // Programmatic XNU signal: translate the Darwin number into
@@ -92,15 +102,6 @@ buildXnuBsdTable(SyscallTable &tbl, PsynchSubsystem &psynch)
         return c.kernel.sysKill(c.thread, c.args.i32(0), linux_signo);
     });
 
-    tbl.set(xnuno::DUP, "dup", [](TrapContext &c, void *) {
-        return c.kernel.sysDup(c.thread, c.args.i32(0));
-    });
-
-    tbl.set(xnuno::PIPE, "pipe", [](TrapContext &c, void *) {
-        return c.kernel.sysPipe(
-            c.thread, static_cast<kernel::Fd *>(c.args.ptr(0)));
-    });
-
     tbl.set(xnuno::SIGACTION, "sigaction", [](TrapContext &c, void *) {
         int linux_signo = xnuSigToLinux(c.args.i32(0));
         if (linux_signo == 0)
@@ -109,128 +110,6 @@ buildXnuBsdTable(SyscallTable &tbl, PsynchSubsystem &psynch)
         return c.kernel.sysSigaction(c.thread, linux_signo,
                                      act ? *act
                                          : kernel::SignalAction());
-    });
-
-    tbl.set(xnuno::IOCTL, "ioctl", [](TrapContext &c, void *) {
-        return c.kernel.sysIoctl(c.thread, c.args.i32(0), c.args.u64(1),
-                                 c.args.ptr(2));
-    });
-
-    tbl.set(xnuno::LSEEK, "lseek", [](TrapContext &c, void *) {
-        return c.kernel.sysLseek(c.thread, c.args.i32(0), c.args.i64(1),
-                                 c.args.i32(2));
-    });
-
-    tbl.set(xnuno::STAT, "stat", [](TrapContext &c, void *) {
-        return c.kernel.sysStat(
-            c.thread, c.args.str(0),
-            static_cast<kernel::StatBuf *>(c.args.ptr(1)));
-    });
-
-    tbl.set(xnuno::RENAME, "rename", [](TrapContext &c, void *) {
-        return c.kernel.sysRename(c.thread, c.args.str(0),
-                                  c.args.str(1));
-    });
-
-    tbl.set(xnuno::DUP2, "dup2", [](TrapContext &c, void *) {
-        return c.kernel.sysDup2(c.thread, c.args.i32(0), c.args.i32(1));
-    });
-
-    tbl.set(xnuno::GETPPID, "getppid", [](TrapContext &c, void *) {
-        return c.kernel.sysGetppid(c.thread);
-    });
-
-    tbl.set(xnuno::EXECVE, "execve", [](TrapContext &c, void *) {
-        auto *argv =
-            static_cast<std::vector<std::string> *>(c.args.ptr(1));
-        return c.kernel.sysExecve(c.thread, c.args.str(0),
-                                  argv ? *argv
-                                       : std::vector<std::string>());
-    });
-
-    tbl.set(xnuno::SELECT, "select", [](TrapContext &c, void *) {
-        auto *rd = static_cast<std::vector<kernel::Fd> *>(c.args.ptr(0));
-        auto *wr = static_cast<std::vector<kernel::Fd> *>(c.args.ptr(1));
-        auto *ready =
-            static_cast<std::vector<kernel::Fd> *>(c.args.ptr(2));
-        static const std::vector<kernel::Fd> empty;
-        return c.kernel.sysSelect(c.thread, rd ? *rd : empty,
-                                  wr ? *wr : empty, *ready);
-    });
-
-    // Same dual-family dispatch as the Linux table: argument shape
-    // picks AF_UNIX (path string) or AF_INET (numeric addr/port).
-    tbl.set(xnuno::SOCKET, "socket", [](TrapContext &c, void *) {
-        if (c.args.size() >= 2)
-            return c.kernel.sysNetSocket(c.thread, c.args.i32(1));
-        return c.kernel.sysSocket(c.thread);
-    });
-
-    tbl.set(xnuno::CONNECT, "connect", [](TrapContext &c, void *) {
-        if (c.args.size() >= 3)
-            return c.kernel.sysNetConnect(
-                c.thread, c.args.i32(0),
-                static_cast<kernel::NetAddr>(c.args.u64(1)),
-                static_cast<kernel::NetPort>(c.args.u64(2)));
-        return c.kernel.sysConnect(c.thread, c.args.i32(0),
-                                   c.args.str(1));
-    });
-
-    tbl.set(xnuno::ACCEPT, "accept", [](TrapContext &c, void *) {
-        return c.kernel.sysAccept(c.thread, c.args.i32(0));
-    });
-
-    tbl.set(xnuno::BIND, "bind", [](TrapContext &c, void *) {
-        if (c.args.size() >= 3)
-            return c.kernel.sysNetBind(
-                c.thread, c.args.i32(0),
-                static_cast<kernel::NetAddr>(c.args.u64(1)),
-                static_cast<kernel::NetPort>(c.args.u64(2)));
-        return c.kernel.sysBind(c.thread, c.args.i32(0), c.args.str(1));
-    });
-
-    tbl.set(xnuno::LISTEN, "listen", [](TrapContext &c, void *) {
-        return c.kernel.sysListen(c.thread, c.args.i32(0),
-                                  c.args.i32(1));
-    });
-
-    tbl.set(xnuno::SOCKETPAIR, "socketpair", [](TrapContext &c, void *) {
-        return c.kernel.sysSocketpair(
-            c.thread, static_cast<kernel::Fd *>(c.args.ptr(0)));
-    });
-
-    tbl.set(xnuno::SENDTO, "sendto", [](TrapContext &c, void *) {
-        const Bytes *data = c.args.cbytes(1);
-        static const Bytes empty;
-        return c.kernel.sysNetSendTo(
-            c.thread, c.args.i32(0),
-            static_cast<kernel::NetAddr>(c.args.u64(2)),
-            static_cast<kernel::NetPort>(c.args.u64(3)),
-            data ? *data : empty);
-    });
-
-    tbl.set(xnuno::RECVFROM, "recvfrom", [](TrapContext &c, void *) {
-        Bytes *out = c.args.bytes(1);
-        if (out == nullptr)
-            return SyscallResult::failure(kernel::lnx::FAULT);
-        return c.kernel.sysNetRecvFrom(
-            c.thread, c.args.i32(0), *out,
-            static_cast<std::size_t>(c.args.u64(2)),
-            static_cast<kernel::NetAddr *>(c.args.ptr(3)),
-            static_cast<kernel::NetPort *>(c.args.ptr(4)));
-    });
-
-    tbl.set(xnuno::SHUTDOWN, "shutdown", [](TrapContext &c, void *) {
-        return c.kernel.sysNetShutdown(c.thread, c.args.i32(0),
-                                       c.args.i32(1));
-    });
-
-    tbl.set(xnuno::MKDIR, "mkdir", [](TrapContext &c, void *) {
-        return c.kernel.sysMkdir(c.thread, c.args.str(0));
-    });
-
-    tbl.set(xnuno::RMDIR, "rmdir", [](TrapContext &c, void *) {
-        return c.kernel.sysRmdir(c.thread, c.args.str(0));
     });
 
     // posix_spawn has no Linux twin; compose it from the Linux clone

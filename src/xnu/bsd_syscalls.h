@@ -1,13 +1,15 @@
 /**
  * @file
- * The XNU BSD syscall table: numbers and wrapper implementations.
+ * The XNU BSD syscall table: numbers and registration.
  *
  * Most XNU BSD syscalls overlap POSIX functionality the Linux kernel
- * already has, so each entry here is the thin wrapper the paper
- * describes (section 4.1): map XNU arguments/structures onto the
- * Linux form, call the existing Linux implementation, and let the
- * dispatch boundary convert the result into the XNU calling
- * convention (carry flag + Darwin errno).
+ * already has. The paper's wrapper for them (section 4.1) translates
+ * the calling convention and runs the existing Linux implementation;
+ * here the dispatcher does the translation, so such an entry is the
+ * Linux table's own handler registered under the Darwin number, and
+ * the dispatch boundary converts the result into the XNU calling
+ * convention (carry flag + Darwin errno). Only signal-number
+ * translation (kill, sigaction) needs a body of its own.
  *
  * Syscalls with no Linux counterpart but similar building blocks are
  * composed from them — posix_spawn is built from the Linux fork and
@@ -74,11 +76,15 @@ inline constexpr int NULL_SYSCALL = 999; ///< lmbench probe
 } // namespace xnuno
 
 /**
- * Populate @p tbl with the XNU BSD wrappers. Signal-related entries
- * translate Darwin numbering to Linux before touching the kernel;
- * psynch entries route into the duct-taped subsystem @p psynch.
+ * Populate @p tbl with the XNU BSD syscalls. Calls with a Linux twin
+ * reuse that entry of @p linux_table (its function and user word);
+ * signal-related entries translate Darwin numbering to Linux before
+ * touching the kernel; psynch entries route into the duct-taped
+ * subsystem @p psynch.
  */
-void buildXnuBsdTable(kernel::SyscallTable &tbl, PsynchSubsystem &psynch);
+void buildXnuBsdTable(kernel::SyscallTable &tbl,
+                      const kernel::SyscallTable &linux_table,
+                      PsynchSubsystem &psynch);
 
 } // namespace cider::xnu
 

@@ -9,7 +9,6 @@
 
 #include "android/bionic.h"
 #include "hw/device_profile.h"
-#include "kernel/linux_syscalls.h"
 #include "persona/tls.h"
 
 namespace cider::android {
@@ -20,7 +19,6 @@ class BionicTest : public ::testing::Test
   protected:
     BionicTest() : kernel_(hw::DeviceProfile::nexus7())
     {
-        kernel::buildLinuxSyscallTable(kernel_);
         proc_ = &kernel_.createProcess("droid");
         thread_ = &proc_->mainThread();
         scope_ = std::make_unique<kernel::ThreadScope>(*thread_);

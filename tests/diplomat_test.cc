@@ -33,7 +33,6 @@ class DiplomatTest : public ::testing::Test
         : kernel_(hw::DeviceProfile::nexus7()),
           mgr_(kernel_, ipc_, psynch_)
     {
-        kernel::buildLinuxSyscallTable(kernel_);
         mgr_.install();
         proc_ = &kernel_.createProcess("iapp", Persona::Ios);
         thread_ = &proc_->mainThread();

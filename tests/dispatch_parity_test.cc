@@ -9,10 +9,14 @@
  * Two freshly booted kernels run the identical operation sequence,
  * one through the Linux trap class as Android, one through the XNU
  * BSD trap class as iOS. Return values must match exactly; errno must
- * match through the documented Linux->Darwin translation.
+ * match through the documented Linux->Darwin translation. A table
+ * check pins which Linux entry serves each XNU BSD number, and under
+ * which Darwin name.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "base/rng.h"
 #include "hw/device_profile.h"
@@ -35,7 +39,6 @@ struct World
         : kernel(hw::DeviceProfile::nexus7()),
           mgr(kernel, ipc, psynch), cls(cls)
     {
-        buildLinuxSyscallTable(kernel);
         mgr.install();
         proc = &kernel.createProcess("app", persona);
     }
@@ -220,6 +223,77 @@ TEST_F(DispatchParityTest, RandomisedFileOpsParity)
           }
         }
     }
+}
+
+/** One Linux syscall and the XNU BSD entry that serves it on iOS. */
+struct Twin
+{
+    int linuxNr;
+    int xnuNr;
+    const char *xnuName;
+    bool ownBody; ///< translates signal numbers before the Linux body
+};
+
+const Twin kTwins[] = {
+    {sysno::NULL_SYSCALL, xnu::xnuno::NULL_SYSCALL, "null", false},
+    {sysno::EXIT, xnu::xnuno::EXIT, "exit", false},
+    {sysno::FORK, xnu::xnuno::FORK, "fork", false},
+    {sysno::READ, xnu::xnuno::READ, "read", false},
+    {sysno::WRITE, xnu::xnuno::WRITE, "write", false},
+    {sysno::OPEN, xnu::xnuno::OPEN, "open", false},
+    {sysno::CLOSE, xnu::xnuno::CLOSE, "close", false},
+    {sysno::WAITPID, xnu::xnuno::WAIT4, "wait4", false},
+    {sysno::UNLINK, xnu::xnuno::UNLINK, "unlink", false},
+    {sysno::EXECVE, xnu::xnuno::EXECVE, "execve", false},
+    {sysno::GETPID, xnu::xnuno::GETPID, "getpid", false},
+    {sysno::KILL, xnu::xnuno::KILL, "kill", true},
+    {sysno::MKDIR, xnu::xnuno::MKDIR, "mkdir", false},
+    {sysno::RMDIR, xnu::xnuno::RMDIR, "rmdir", false},
+    {sysno::DUP, xnu::xnuno::DUP, "dup", false},
+    {sysno::PIPE, xnu::xnuno::PIPE, "pipe", false},
+    {sysno::IOCTL, xnu::xnuno::IOCTL, "ioctl", false},
+    {sysno::LSEEK, xnu::xnuno::LSEEK, "lseek", false},
+    {sysno::STAT, xnu::xnuno::STAT, "stat", false},
+    {sysno::RENAME, xnu::xnuno::RENAME, "rename", false},
+    {sysno::DUP2, xnu::xnuno::DUP2, "dup2", false},
+    {sysno::GETPPID, xnu::xnuno::GETPPID, "getppid", false},
+    {sysno::SIGACTION, xnu::xnuno::SIGACTION, "sigaction", true},
+    {sysno::SELECT, xnu::xnuno::SELECT, "select", false},
+    {sysno::SOCKET, xnu::xnuno::SOCKET, "socket", false},
+    {sysno::BIND, xnu::xnuno::BIND, "bind", false},
+    {sysno::CONNECT, xnu::xnuno::CONNECT, "connect", false},
+    {sysno::LISTEN, xnu::xnuno::LISTEN, "listen", false},
+    {sysno::ACCEPT, xnu::xnuno::ACCEPT, "accept", false},
+    {sysno::SOCKETPAIR, xnu::xnuno::SOCKETPAIR, "socketpair", false},
+    {sysno::SENDTO, xnu::xnuno::SENDTO, "sendto", false},
+    {sysno::RECVFROM, xnu::xnuno::RECVFROM, "recvfrom", false},
+    {sysno::SHUTDOWN, xnu::xnuno::SHUTDOWN, "shutdown", false},
+};
+
+TEST_F(DispatchParityTest, EveryLinuxSyscallHasAnXnuTwinOnItsBody)
+{
+    // The XNU BSD entry of a syscall with a Linux twin is that Linux
+    // entry's own handler and user word under the Darwin number and
+    // name; only kill and sigaction have bodies of their own.
+    const SyscallTable &lx = xnu_.kernel.linuxTable();
+    const SyscallTable &bsd = xnu_.mgr.xnuBsdTable();
+    std::vector<int> covered;
+    for (const Twin &tw : kTwins) {
+        covered.push_back(tw.linuxNr);
+        const SyscallTable::Entry *l = lx.find(tw.linuxNr);
+        const SyscallTable::Entry *x = bsd.find(tw.xnuNr);
+        ASSERT_NE(l, nullptr) << tw.xnuName;
+        ASSERT_NE(x, nullptr) << tw.xnuName;
+        EXPECT_STREQ(x->name, tw.xnuName);
+        if (tw.ownBody) {
+            EXPECT_NE(x->fn, l->fn) << tw.xnuName;
+        } else {
+            EXPECT_EQ(x->fn, l->fn) << tw.xnuName;
+            EXPECT_EQ(x->user, l->user) << tw.xnuName;
+        }
+    }
+    std::sort(covered.begin(), covered.end());
+    EXPECT_EQ(covered, lx.registeredNumbers());
 }
 
 } // namespace

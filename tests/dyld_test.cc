@@ -419,6 +419,41 @@ TEST(Dyld, ResolvesSymbolsAcrossLoadedImages)
     EXPECT_EQ(rc, 0);
 }
 
+TEST(Dyld, ReplacedImageStaysResolvableInProcessesThatLoadedIt)
+{
+    SystemOptions opts;
+    opts.config = SystemConfig::CiderIos;
+    CiderSystem sys(opts);
+    binfmt::LibraryRegistry &libs = sys.iosLibraries();
+
+    sys.installMachOExecutable(
+        "/data/replacer", "replacer.main",
+        [&libs](binfmt::UserEnv &env) {
+            const binfmt::Symbol *loaded =
+                ios::Dyld::resolve(env, "glClear");
+            if (!loaded)
+                return 1;
+            // Replace the image this process loaded; its dyld table
+            // still points at the old one.
+            binfmt::LibraryImage gl = *libs.find("OpenGLES.dylib");
+            gl.exports = {};
+            gl.exports.add("glClear",
+                           [](binfmt::UserEnv &, std::vector<binfmt::Value> &) {
+                               return binfmt::Value{std::int64_t{-7}};
+                           });
+            libs.add(std::move(gl));
+
+            const binfmt::Symbol *sym = ios::Dyld::resolve(env, "glClear");
+            if (sym != loaded)
+                return 2;
+            std::vector<binfmt::Value> args{std::int64_t{0x4000}};
+            if (binfmt::valueI64(sym->fn(env, args)) == -7)
+                return 3;
+            return 0;
+        });
+    EXPECT_EQ(sys.runProgram("/data/replacer"), 0);
+}
+
 TEST(Dyld, MissingImageWarnsButContinues)
 {
     setLogQuiet(true);

@@ -221,7 +221,6 @@ class FaultKernelTest : public FaultRailTest
         : kernel_(hw::DeviceProfile::nexus7()),
           mgr_(kernel_, ipc_, psynch_)
     {
-        buildLinuxSyscallTable(kernel_);
         mgr_.install();
         android_ = &kernel_.createProcess("droid", Persona::Android);
         ios_ = &kernel_.createProcess("iapp", Persona::Ios);

@@ -10,7 +10,6 @@
 
 #include "hw/device_profile.h"
 #include "kernel/kernel.h"
-#include "kernel/linux_syscalls.h"
 #include "kernel/pipe.h"
 
 namespace cider::kernel {
@@ -21,7 +20,6 @@ class KernelFixture : public ::testing::Test
   protected:
     KernelFixture() : kernel_(hw::DeviceProfile::nexus7())
     {
-        buildLinuxSyscallTable(kernel_);
         proc_ = &kernel_.createProcess("test");
         thread_ = &proc_->mainThread();
         scope_ = std::make_unique<ThreadScope>(*thread_);
@@ -162,6 +160,44 @@ TEST_F(FdPipeSocketTest, SocketpairBidirectional)
     EXPECT_EQ(kernel_.sysWrite(*thread_, fds[1], pong).value, 1);
     EXPECT_EQ(kernel_.sysRead(*thread_, fds[0], out, 8).value, 1);
     EXPECT_EQ(out, Bytes{'q'});
+}
+
+TEST_F(FdPipeSocketTest, UnixPeerCloseDrainsToEofAndRaisesEpipe)
+{
+    Fd fds[2];
+    ASSERT_TRUE(kernel_.sysSocketpair(*thread_, fds).ok());
+
+    int sigpipe_seen = 0;
+    SignalAction act;
+    act.kind = SignalAction::Kind::Handler;
+    act.fn = [&](int signo, const SigInfo &) {
+        if (signo == lsig::PIPE)
+            ++sigpipe_seen;
+    };
+    kernel_.sysSigaction(*thread_, lsig::PIPE, act);
+
+    Bytes msg{7, 8};
+    ASSERT_EQ(kernel_.sysWrite(*thread_, fds[0], msg).value, 2);
+    ASSERT_TRUE(kernel_.sysClose(*thread_, fds[0]).ok());
+
+    // The survivor polls readable (queued bytes, then EOF) and never
+    // writable.
+    std::vector<Fd> survivor{fds[1]};
+    std::vector<Fd> ready;
+    EXPECT_EQ(kernel_.sysSelect(*thread_, survivor, survivor, ready).value,
+              1);
+    EXPECT_EQ(ready, survivor);
+
+    Bytes out;
+    EXPECT_EQ(kernel_.sysRead(*thread_, fds[1], out, 8).value, 2);
+    EXPECT_EQ(out, msg);
+    EXPECT_EQ(kernel_.sysRead(*thread_, fds[1], out, 8).value, 0);
+    EXPECT_EQ(kernel_.sysSelect(*thread_, survivor, survivor, ready).value,
+              1);
+    EXPECT_EQ(ready, survivor);
+
+    EXPECT_EQ(kernel_.sysWrite(*thread_, fds[1], msg).err, lnx::PIPE);
+    EXPECT_EQ(sigpipe_seen, 1);
 }
 
 TEST_F(FdPipeSocketTest, NamedSocketConnectAcceptFlow)

@@ -10,7 +10,6 @@
 #include "binfmt/elf.h"
 #include "diplomat/generator.h"
 #include "hw/device_profile.h"
-#include "kernel/linux_syscalls.h"
 #include "persona/persona.h"
 
 namespace cider::diplomat {
@@ -23,7 +22,6 @@ class GeneratorTest : public ::testing::Test
         : kernel_(hw::DeviceProfile::nexus7()),
           mgr_(kernel_, ipc_, psynch_), generator_(libs_)
     {
-        kernel::buildLinuxSyscallTable(kernel_);
         mgr_.install();
         kernel_.vfs().mkdirAll("/system/lib");
 

@@ -10,7 +10,6 @@
 #include "hw/device_profile.h"
 #include "kernel/kernel.h"
 #include "binfmt/binfmt_registry.h"
-#include "kernel/linux_syscalls.h"
 
 namespace cider::kernel {
 namespace {
@@ -20,7 +19,6 @@ class ProcessTest : public ::testing::Test
   protected:
     ProcessTest() : kernel_(hw::DeviceProfile::nexus7())
     {
-        buildLinuxSyscallTable(kernel_);
         proc_ = &kernel_.createProcess("parent");
         thread_ = &proc_->mainThread();
         scope_ = std::make_unique<ThreadScope>(*thread_);

@@ -7,7 +7,6 @@
 
 #include "hw/device_profile.h"
 #include "ios/libsystem.h"
-#include "kernel/linux_syscalls.h"
 #include "persona/persona.h"
 #include "xnu/kqueue.h"
 
@@ -21,7 +20,6 @@ class KQueueTest : public ::testing::Test
         : kernel_(hw::DeviceProfile::nexus7()),
           mgr_(kernel_, ipc_, psynch_)
     {
-        kernel::buildLinuxSyscallTable(kernel_);
         mgr_.install();
         proc_ = &kernel_.createProcess("kq", kernel::Persona::Ios);
         thread_ = &proc_->mainThread();

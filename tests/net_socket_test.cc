@@ -32,7 +32,6 @@
 #include "iokit/network.h"
 #include "kernel/fault_rail.h"
 #include "kernel/kernel.h"
-#include "kernel/linux_syscalls.h"
 #include "kernel/net.h"
 #include "kernel/sched_rail.h"
 #include "persona/persona.h"
@@ -60,7 +59,6 @@ class NetSocketTest : public ::testing::Test
     {
         FaultRail::global().disarmAll();
         SchedRail::global().disarm();
-        buildLinuxSyscallTable(kernel_);
         mgr_.install(); // xnu-bsd traps back the kqueue interposer
         iokit::installLinuxBridge(kernel_.devices(), registry_);
         iokit::IONetworkController::registerDriver(

@@ -144,7 +144,6 @@ TEST(PerCpuSmpTest, ArmedRailCollapsesToSubmitOrder)
 TEST(PerCpuSmpTest, TrapBoundaryMergesIntoBoundCpuEpoch)
 {
     Kernel k(hw::DeviceProfile::nexus7());
-    buildLinuxSyscallTable(k);
     ASSERT_EQ(k.percpu().count(), 4u);
     Process &p = k.createProcess("smp");
     Thread &t = p.mainThread();

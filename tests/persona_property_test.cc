@@ -28,7 +28,6 @@ class PersonaProperty : public ::testing::TestWithParam<std::uint64_t>
         : kernel_(hw::DeviceProfile::nexus7()),
           mgr_(kernel_, ipc_, psynch_)
     {
-        kernel::buildLinuxSyscallTable(kernel_);
         mgr_.install();
     }
 

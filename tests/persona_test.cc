@@ -31,7 +31,6 @@ class PersonaTest : public ::testing::Test
         : kernel_(hw::DeviceProfile::nexus7()),
           mgr_(kernel_, ipc_, psynch_)
     {
-        kernel::buildLinuxSyscallTable(kernel_);
         mgr_.install();
         android_ = &kernel_.createProcess("droid", Persona::Android);
         ios_ = &kernel_.createProcess("iapp", Persona::Ios);
@@ -153,7 +152,6 @@ TEST_F(PersonaTest, NullSyscallOverheadsMatchPaper)
 
     // Vanilla baseline: a separate kernel without Cider installed.
     kernel::Kernel vanilla(profile);
-    kernel::buildLinuxSyscallTable(vanilla);
     kernel::Process &vproc = vanilla.createProcess("v");
     kernel::Thread &vt = vproc.mainThread();
     std::uint64_t base;

@@ -25,7 +25,6 @@ class SignalsTest : public ::testing::Test
   protected:
     SignalsTest() : kernel_(hw::DeviceProfile::nexus7())
     {
-        buildLinuxSyscallTable(kernel_);
         proc_ = &kernel_.createProcess("sig");
         thread_ = &proc_->mainThread();
         scope_ = std::make_unique<ThreadScope>(*thread_);

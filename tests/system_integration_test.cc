@@ -283,6 +283,23 @@ TEST(SystemIntegration, VanillaAndroidCannotRunMachO)
     setLogQuiet(false);
 }
 
+TEST(SystemIntegration, RunProgramReapsWhatItRuns)
+{
+    SystemOptions opts;
+    opts.config = SystemConfig::CiderIos;
+    CiderSystem sys(opts);
+    sys.installMachOExecutable("/data/once", "once.main",
+                               [](binfmt::UserEnv &) { return 0; });
+
+    std::size_t before = sys.kernel().processCount();
+    for (int i = 0; i < 50; ++i)
+        ASSERT_EQ(sys.runProgram("/data/once"), 0);
+    EXPECT_EQ(sys.kernel().processCount(), before);
+    sys.runInProcess("probe", kernel::Persona::Ios,
+                     [](binfmt::UserEnv &) { return 0; });
+    EXPECT_EQ(sys.kernel().processCount(), before);
+}
+
 TEST(SystemIntegration, IosAppsSeeOverlaidFilesystem)
 {
     SystemOptions opts;

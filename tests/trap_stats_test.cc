@@ -31,7 +31,6 @@ class TrapStatsTest : public ::testing::Test
         : kernel_(hw::DeviceProfile::nexus7()),
           mgr_(kernel_, ipc_, psynch_)
     {
-        buildLinuxSyscallTable(kernel_);
         mgr_.install();
         android_ = &kernel_.createProcess("droid", Persona::Android);
         ios_ = &kernel_.createProcess("iapp", Persona::Ios);

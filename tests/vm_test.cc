@@ -16,7 +16,6 @@
 #include "hw/device_profile.h"
 #include "kernel/file.h"
 #include "kernel/kernel.h"
-#include "kernel/linux_syscalls.h"
 #include "kernel/sched_rail.h"
 #include "kernel/vm.h"
 #include "persona/persona.h"
@@ -377,7 +376,6 @@ class VmTrapTest : public ::testing::Test
         : kernel_(hw::DeviceProfile::nexus7()),
           mgr_(kernel_, ipc_, psynch_)
     {
-        buildLinuxSyscallTable(kernel_);
         ipc_.setVm(&kernel_.vm());
         mgr_.install();
         proc_ = &kernel_.createProcess("vmapp", Persona::Ios);

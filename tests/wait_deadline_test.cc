@@ -28,7 +28,6 @@
 #include "hw/device_profile.h"
 #include "kernel/fault_rail.h"
 #include "kernel/kernel.h"
-#include "kernel/linux_syscalls.h"
 #include "kernel/trap_context.h"
 #include "persona/persona.h"
 #include "xnu/bsd_syscalls.h"
@@ -642,7 +641,6 @@ class TrapDeadlineTest : public WaitDeadlineTest
         : kernel_(hw::DeviceProfile::nexus7()),
           mgr_(kernel_, ipc_, psynch_)
     {
-        kernel::buildLinuxSyscallTable(kernel_);
         mgr_.install();
         ios_ = &kernel_.createProcess("iapp", Persona::Ios);
     }

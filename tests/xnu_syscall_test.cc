@@ -11,7 +11,6 @@
 #include "binfmt/binfmt_registry.h"
 #include "hw/device_profile.h"
 #include "ios/libsystem.h"
-#include "kernel/linux_syscalls.h"
 #include "persona/persona.h"
 #include "xnu/xnu_signals.h"
 
@@ -27,7 +26,6 @@ class XnuSyscallTest : public ::testing::Test
         : kernel_(hw::DeviceProfile::nexus7()),
           mgr_(kernel_, ipc_, psynch_)
     {
-        kernel::buildLinuxSyscallTable(kernel_);
         mgr_.install();
         proc_ = &kernel_.createProcess("iapp", Persona::Ios);
         thread_ = &proc_->mainThread();
