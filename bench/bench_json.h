@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,7 +22,8 @@ namespace cider::bench {
  * things at once: the virtual series is unchanged (bit-identical
  * simulation) and the host-side time actually dropped. Written as
  * `BENCH_<name>.json` in the working directory; CI uploads these as
- * artifacts.
+ * artifacts. Each file records where it was measured: the build type
+ * (CIDER_BUILD_TYPE, bench/CMakeLists.txt) and the host's cores.
  */
 class BenchJson
 {
@@ -49,8 +51,12 @@ class BenchJson
         std::FILE *f = std::fopen(path.c_str(), "w");
         if (!f)
             return false;
-        std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n",
-                     name_.c_str());
+        std::fprintf(f,
+                     "{\n  \"bench\": \"%s\",\n"
+                     "  \"build_type\": \"%s\",\n"
+                     "  \"host_cores\": %u,\n  \"rows\": [\n",
+                     name_.c_str(), CIDER_BUILD_TYPE,
+                     std::thread::hardware_concurrency());
         for (std::size_t i = 0; i < rows_.size(); ++i) {
             const Row &r = rows_[i];
             std::fprintf(f,

@@ -255,17 +255,14 @@ printTrapBreakdown(CiderSystem &sys, const std::string &label)
             continue;
         std::printf("%s:\n", t->name().c_str());
         for (int nr : t->registeredNumbers()) {
-            const kernel::SyscallStat *s = stats.stat(t->name(), nr);
-            if (!s)
-                continue;
-            std::uint64_t calls = s->calls.load();
-            if (calls == 0)
+            kernel::SyscallStat s = stats.stat(t->name(), nr);
+            if (s.calls == 0)
                 continue;
             std::printf("  %-18s %8llu calls  %8.0f ns/call\n",
                         t->sysName(nr),
-                        static_cast<unsigned long long>(calls),
-                        static_cast<double>(s->totalNs.load()) /
-                            static_cast<double>(calls));
+                        static_cast<unsigned long long>(s.calls),
+                        static_cast<double>(s.totalNs) /
+                            static_cast<double>(s.calls));
         }
     }
     std::printf("persona switches: %llu, rejected: %llu, "

@@ -140,13 +140,7 @@ SyscallTable::slotFor(int nr, const char *sys_name)
             cider_panic("syscall table ", name_, ": registering ",
                         sys_name, " (nr ", nr,
                         ") would exceed the dense span limit");
-        // Entry is move-only (owns its stat), so grow the front by
-        // rebuilding rather than a copy-filling insert().
-        std::vector<Entry> grown(grow);
-        grown.reserve(grow + dense_.size());
-        std::move(dense_.begin(), dense_.end(),
-                  std::back_inserter(grown));
-        dense_ = std::move(grown);
+        dense_.insert(dense_.begin(), grow, Entry{});
         base_ = nr;
     }
     auto idx = static_cast<std::size_t>(nr - base_);
@@ -174,7 +168,8 @@ SyscallTable::set(int nr, const char *sys_name, SyscallFn fn,
     e.name = sys_name;
     e.fn = fn;
     e.user = user;
-    e.stat = std::make_unique<SyscallStat>();
+    if (stats_)
+        e.statSlot = stats_->newSlot();
     ++count_;
     return e;
 }
@@ -199,8 +194,8 @@ SyscallTable::registeredNumbers() const
 
 Kernel::Kernel(const hw::DeviceProfile &profile)
     : profile_(profile), vm_(std::make_unique<VmSubsystem>(&profile)),
-      percpu_(profile.cpuCores), vfs_(profile), net_(profile),
-      linuxTable_("linux")
+      percpu_(profile.cpuCores, &trapStats_), vfs_(profile),
+      net_(profile), linuxTable_("linux")
 {
     dispatcher_ = std::make_unique<VanillaDispatcher>();
     signalHook_ = std::make_unique<SignalDeliveryHook>();
@@ -333,11 +328,10 @@ Kernel::trap(Thread &t, TrapClass cls, int nr, SyscallArgs args)
         trapStats_.recordNoReturn(ctx, t.clock().now() - ctx.enterNs);
         throw;
     }
-    trapStats_.recordTrap(ctx, r, t.clock().now() - ctx.enterNs);
-    // SMP epoch merge: when the calling host thread is bound to a
-    // simulated CPU, fold this thread's clock into the CPU's live
+    // Also the SMP epoch merge: when the calling host thread is bound
+    // to a simulated CPU, this thread's clock folds into the CPU's
     // epoch at the trap boundary (DESIGN.md §11).
-    PerCpu::noteTrapBoundary(t);
+    trapStats_.recordTrap(ctx, r, t.clock().now() - ctx.enterNs);
     checkPendingSignals(t);
 
     if (oomKillEnabled_) {

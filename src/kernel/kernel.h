@@ -70,13 +70,16 @@ using SyscallFn = SyscallResult (*)(TrapContext &, void *user);
 class SyscallTable
 {
   public:
+    static constexpr std::uint32_t kNoStatSlot = ~std::uint32_t{0};
+
     struct Entry
     {
         const char *name = nullptr; ///< static registration string
         SyscallFn fn = nullptr;
         void *user = nullptr;
-        /** Per-syscall counters (stable address; see trap_stats.h). */
-        std::unique_ptr<SyscallStat> stat;
+        /** This entry's counter cell in every TrapStats shard, given
+         *  when its table is attached (kNoStatSlot before). */
+        std::uint32_t statSlot = kNoStatSlot;
         /**
          * True when the handler's success value is a kern_return_t
          * (Mach convention: the code rides in the return register).
@@ -120,12 +123,16 @@ class SyscallTable
     std::vector<int> registeredNumbers() const;
 
   private:
+    friend class TrapStats;
+
     Entry &slotFor(int nr, const char *sys_name);
 
     std::string name_;
     int base_ = 0;
     std::size_t count_ = 0;
     std::vector<Entry> dense_;
+    /** The TrapStats this table is attached to (null before). */
+    TrapStats *stats_ = nullptr;
 };
 
 /** Pluggable trap dispatcher (vanilla vs. Cider multi-persona). */

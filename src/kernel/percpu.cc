@@ -6,7 +6,7 @@
 
 #include "base/logging.h"
 #include "kernel/sched_rail.h"
-#include "kernel/thread.h"
+#include "kernel/trap_stats.h"
 
 namespace cider::kernel {
 
@@ -16,7 +16,7 @@ thread_local CpuSlot *t_cpuSlot = nullptr;
 
 } // namespace
 
-PerCpu::PerCpu(unsigned ncpus)
+PerCpu::PerCpu(unsigned ncpus, const TrapStats *traps) : traps_(traps)
 {
     unsigned n = std::clamp(ncpus, 1u, kMaxCpus);
     slots_.reserve(n);
@@ -39,15 +39,12 @@ PerCpu::currentCpu()
     return t_cpuSlot ? static_cast<int>(t_cpuSlot->id) : -1;
 }
 
-void
-PerCpu::noteTrapBoundary(Thread &t)
+std::uint64_t
+PerCpu::epochOf(const CpuSlot &slot) const
 {
-    CpuSlot *slot = t_cpuSlot;
-    if (!slot)
-        return;
-    slot->current.store(&t, std::memory_order_relaxed);
-    slot->mergeEpoch(t.clock().now());
-    slot->trapMerges.fetch_add(1, std::memory_order_relaxed);
+    std::uint64_t batch = slot.epochNs.load(std::memory_order_relaxed);
+    return traps_ ? std::max(batch, traps_->cpuTraps(slot.id).epochNs)
+                  : batch;
 }
 
 std::uint64_t
@@ -55,20 +52,8 @@ PerCpu::mergedEpochNs() const
 {
     std::uint64_t merged = 0;
     for (const auto &slot : slots_)
-        merged = std::max(
-            merged, slot->epochNs.load(std::memory_order_relaxed));
+        merged = std::max(merged, epochOf(*slot));
     return merged;
-}
-
-void
-PerCpu::resetEpochs()
-{
-    for (auto &slot : slots_) {
-        slot->epochNs.store(0, std::memory_order_relaxed);
-        slot->trapMerges.store(0, std::memory_order_relaxed);
-        slot->jobsRun.store(0, std::memory_order_relaxed);
-        slot->jobsStolen.store(0, std::memory_order_relaxed);
-    }
 }
 
 std::string
@@ -82,11 +67,9 @@ PerCpu::dump() const
             line, sizeof line,
             "cpu%-2u epoch %llu ns  trap-merges %llu  jobs %llu  "
             "stolen %llu\n",
-            slot->id,
+            slot->id, static_cast<unsigned long long>(epochOf(*slot)),
             static_cast<unsigned long long>(
-                slot->epochNs.load(std::memory_order_relaxed)),
-            static_cast<unsigned long long>(
-                slot->trapMerges.load(std::memory_order_relaxed)),
+                traps_ ? traps_->cpuTraps(slot->id).merges : 0),
             static_cast<unsigned long long>(
                 slot->jobsRun.load(std::memory_order_relaxed)),
             static_cast<unsigned long long>(

@@ -32,9 +32,10 @@
  * epochs (also commutative). Both folds are order-insensitive, so a
  * run on 1 host thread and a run on 8 report bit-identical virtual
  * time. At trap boundaries a running guest additionally max-merges
- * its thread clock into its slot's live epoch
- * (PerCpu::noteTrapBoundary), keeping /proc/cider/percpu a monotone
- * lower bound of the final merged time while the batch is running.
+ * its thread clock into its CPU's trap epoch (TrapStats::recordTrap,
+ * in the trapping host thread's own shard), keeping /proc/cider/percpu
+ * a monotone lower bound of the final merged time while the batch is
+ * running.
  *
  * When SchedRail is armed, the pool collapses onto the rail's
  * cooperative schedule: jobs run sequentially in submit order on the
@@ -61,6 +62,7 @@
 namespace cider::kernel {
 
 class Thread;
+class TrapStats;
 
 /** Hard ceiling on simulated CPUs (magazine arrays are sized by it). */
 inline constexpr unsigned kMaxCpus = 64;
@@ -71,10 +73,9 @@ struct CpuSlot
     std::uint32_t id = 0;
     /** Thread this CPU is currently simulating (observability). */
     std::atomic<Thread *> current{nullptr};
-    /** Local virtual-time epoch in ns (see epoch-merge rules). */
+    /** Virtual-time epoch in ns from finished batches (see
+     *  epoch-merge rules; trap boundaries merge in TrapStats). */
     std::atomic<std::uint64_t> epochNs{0};
-    /** Trap boundaries that merged into this epoch. */
-    std::atomic<std::uint64_t> trapMerges{0};
     /** Jobs this virtual CPU was assigned / that were stolen away. */
     std::atomic<std::uint64_t> jobsRun{0};
     std::atomic<std::uint64_t> jobsStolen{0};
@@ -98,7 +99,9 @@ struct CpuSlot
 class PerCpu
 {
   public:
-    explicit PerCpu(unsigned ncpus);
+    /** @p traps, when given, holds the trap-boundary merges into these
+     *  CPUs (the owning kernel's TrapStats). */
+    explicit PerCpu(unsigned ncpus, const TrapStats *traps = nullptr);
 
     unsigned count() const { return static_cast<unsigned>(slots_.size()); }
 
@@ -111,27 +114,22 @@ class PerCpu
     /** Bound simulated CPU id of the calling host thread, or -1. */
     static int currentCpu();
 
-    /**
-     * Trap-boundary epoch merge: when the calling host thread is
-     * bound to a CPU slot, fold @p t's virtual clock into the slot's
-     * live epoch (max-merge). One thread_local read when unbound.
-     */
-    static void noteTrapBoundary(Thread &t);
-
-    /** Max over CPU epochs — the machine's merged virtual time. */
+    /** Max over CPU epochs, batch and trap-boundary merges alike —
+     *  the machine's merged virtual time. */
     std::uint64_t mergedEpochNs() const;
-
-    /** Zero every slot's epoch and counters (benchmark warm-up). */
-    void resetEpochs();
 
     /** The /proc/cider/percpu text. */
     std::string dump() const;
 
   private:
+    /** Epoch of @p slot: its batch epoch max its trap epoch. */
+    std::uint64_t epochOf(const CpuSlot &slot) const;
+
     // Slots are stable-address (unique_ptr) so bound host threads and
     // magazine caches can hold CpuSlot* across vector growth — not
     // that it grows, but the invariant costs nothing to keep.
     std::vector<std::unique_ptr<CpuSlot>> slots_;
+    const TrapStats *traps_;
 };
 
 /**

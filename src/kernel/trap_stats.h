@@ -1,13 +1,18 @@
 /**
  * @file
- * Per-syscall trap statistics and the lock-free trap trace ring.
+ * Per-syscall trap statistics and the trap trace rings.
  *
  * Every Kernel owns one TrapStats. The trap path records, per dispatch
  * table and per syscall number: invocation counts, error counts, and a
  * log2 histogram of virtual-ns latencies measured from the calling
- * thread's CostClock. A fixed-size lock-free ring buffer keeps the
- * most recent trap records (including persona switches) for
- * flight-recorder style debugging.
+ * thread's CostClock. Fixed-size rings keep the most recent trap
+ * records (including persona switches) for flight-recorder style
+ * debugging.
+ *
+ * Each host thread that traps into a kernel writes only its own
+ * shard of that kernel's bookkeeping, with relaxed loads and stores
+ * and no locked read-modify-write; readers sum the shards. DESIGN.md
+ * §11 gives the memory-order argument.
  *
  * Recording costs *host* cycles only — it never calls charge() — so
  * installing the subsystem does not perturb the simulated virtual-time
@@ -20,10 +25,12 @@
 #ifndef CIDER_KERNEL_TRAP_STATS_H
 #define CIDER_KERNEL_TRAP_STATS_H
 
+#include <algorithm>
 #include <array>
-#include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -34,34 +41,33 @@ namespace cider::kernel {
 class SyscallTable;
 class Thread;
 struct TrapContext;
+struct TrapShard;
 
-/**
- * Counters for one syscall in one dispatch table. All fields are
- * relaxed atomics: service threads trap concurrently with the main
- * simulation thread and per-counter exactness beats a lock on the
- * hot path.
- */
+/** Counters for one syscall in one dispatch table, summed over every
+ *  host thread's shard (the snapshot TrapStats::stat() returns). */
 struct SyscallStat
 {
     /** Log2 latency buckets: bucket i counts traps with virtual-ns
      *  latency in [2^i, 2^(i+1)); the last bucket absorbs the tail. */
     static constexpr int kBuckets = 24;
 
-    std::atomic<std::uint64_t> calls{0};
-    std::atomic<std::uint64_t> errors{0};
-    std::atomic<std::uint64_t> totalNs{0};
-    std::atomic<std::uint64_t> minNs{~std::uint64_t{0}};
-    std::atomic<std::uint64_t> maxNs{0};
-    std::array<std::atomic<std::uint64_t>, kBuckets> hist{};
+    std::uint64_t calls = 0;
+    std::uint64_t errors = 0;
+    std::uint64_t totalNs = 0;
+    std::uint64_t minNs = ~std::uint64_t{0};
+    std::uint64_t maxNs = 0;
+    std::array<std::uint64_t, kBuckets> hist{};
 
-    /** Bucket index for a latency value. */
-    static int bucketOf(std::uint64_t ns);
-
-    /** Record one completed invocation. */
-    void record(std::uint64_t latency_ns, bool ok);
+    /** Bucket index for a latency value (0 and 1 share bucket 0). */
+    static int
+    bucketOf(std::uint64_t ns)
+    {
+        return std::min(static_cast<int>(std::bit_width(ns | 1)) - 1,
+                        kBuckets - 1);
+    }
 };
 
-/** One record in the trap trace ring. */
+/** One record in a trap trace ring. */
 struct TraceRecord
 {
     enum class Kind : std::uint8_t
@@ -83,81 +89,46 @@ struct TraceRecord
     int err = 0;
     std::uint64_t latencyNs = 0;
     std::uint64_t timeNs = 0; ///< calling thread's virtual time
-    std::uint64_t seq = 0;    ///< global record sequence number
+    /** Sequence number in the writing host thread's ring. */
+    std::uint64_t seq = 0;
 };
 
-/**
- * Fixed-size lock-free ring of recent trap records, safe for
- * concurrent writers (SMP host threads trap in parallel).
- *
- * The original single-kernel-thread design took a global ticket and
- * wrote `ring_[slot & mask]` non-atomically — two host threads
- * lapping each other could interleave field stores and tear a record.
- * Each slot now carries a seqlock-style claim word: a writer (or the
- * snapshot reader) CAS-claims the slot (even -> odd), touches the
- * record only while holding the claim, and releases (back to even).
- * Contenders never wait: a writer that loses the claim drops its
- * record and bumps dropped() — flight-recorder semantics, wait-free
- * on the trap path, and no torn entry can ever be observed.
- */
-class TrapTracer
+/** Trap-boundary totals of one simulated CPU over every shard. */
+struct CpuTrapTotals
 {
-  public:
-    explicit TrapTracer(std::size_t capacity = 256);
-
-    /** Append one record (wait-free; may drop under slot contention). */
-    void record(TraceRecord rec);
-
-    /** Oldest-to-newest copy of the current ring contents. Slots a
-     *  writer holds claimed at read time are skipped, never torn. */
-    std::vector<TraceRecord> snapshot() const;
-
-    /** Total records ever written (>= capacity means wrapped). */
-    std::uint64_t recorded() const
-    {
-        return head_.load(std::memory_order_relaxed);
-    }
-
-    /** Records dropped because their slot was claimed by a peer. */
-    std::uint64_t dropped() const
-    {
-        return dropped_.load(std::memory_order_relaxed);
-    }
-
-    std::size_t capacity() const { return cap_; }
-
-    void reset();
-
-  private:
-    struct Slot
-    {
-        /** Claim word: even = stable, odd = claimed (being written or
-         *  snapshotted). rec is only touched while holding the claim. */
-        std::atomic<std::uint64_t> seq{0};
-        TraceRecord rec;
-    };
-
-    std::unique_ptr<Slot[]> slots_;
-    std::size_t cap_;
-    std::size_t mask_;
-    std::atomic<std::uint64_t> head_{0};
-    std::atomic<std::uint64_t> dropped_{0};
+    /** Traps whose host thread was bound to the CPU at trap exit. */
+    std::uint64_t merges = 0;
+    /** Highest thread clock seen at those trap exits. */
+    std::uint64_t epochNs = 0;
 };
 
 /**
  * The per-kernel trap observability subsystem: per-table per-syscall
- * counters (stored in the dispatch-table entries themselves, so the
- * hot path is one pointer deref), global rejection counters, the
- * persona-switch count, and the trace ring.
+ * counters, the rejection, persona-switch and kill counters, the
+ * trace rings, and each simulated CPU's trap-boundary merges.
+ *
+ * All of it lives in shards, one per host thread that traps into the
+ * kernel. A shard is created, or adopted from a host thread that has
+ * exited or moved to another kernel, under mu_ on the thread's first
+ * trap; the thread alone writes it afterwards. Readers take mu_ and
+ * sum (or max) the shards.
  */
 class TrapStats
 {
   public:
-    TrapStats();
+    /** Records each shard's trace ring keeps. */
+    static constexpr std::size_t kTraceCapacity = 256;
 
-    /** Register a dispatch table for enumeration in dumps/queries.
-     *  Tables attach once; re-attaching is a no-op. */
-    void attachTable(const SyscallTable &tbl);
+    TrapStats();
+    ~TrapStats();
+
+    TrapStats(const TrapStats &) = delete;
+    TrapStats &operator=(const TrapStats &) = delete;
+
+    /** Register a dispatch table for counting, dumps and queries: its
+     *  entries, and any set on it later, get a counter slot. Tables
+     *  attach once; re-attaching is a no-op. */
+    void attachTable(SyscallTable &tbl);
 
     const std::vector<const SyscallTable *> &tables() const
     {
@@ -165,6 +136,8 @@ class TrapStats
     }
 
     /// @{ Hot-path recording (called from Kernel::trap()).
+    /** A completed trap; also the trap-boundary merge into the bound
+     *  simulated CPU's epoch (DESIGN.md §11). */
     void recordTrap(const TrapContext &ctx, const SyscallResult &r,
                     std::uint64_t latency_ns);
     /** A trap whose handler never returned (exit/execve). */
@@ -172,12 +145,14 @@ class TrapStats
     /** A persona switch made outside a trap; recordTrap() traces and
      *  counts a set_persona trap's switch itself. */
     void recordPersonaSwitch(Thread &t, Persona from, Persona to);
+    void recordBadArg();
+    void recordOomKill();
     /// @}
 
     /// @{ Queries (tests and benchmarks).
-    /** Counters for @p nr in the table named @p table (null if the
-     *  table or the syscall is unknown). */
-    const SyscallStat *stat(const std::string &table, int nr) const;
+    /** Counters for @p nr in the table named @p table, summed over the
+     *  shards (all zero if the table or the syscall is unknown). */
+    SyscallStat stat(const std::string &table, int nr) const;
     std::uint64_t calls(const std::string &table, int nr) const;
     std::uint64_t errors(const std::string &table, int nr) const;
     std::uint64_t totalNs(const std::string &table, int nr) const;
@@ -188,60 +163,87 @@ class TrapStats
 
     /** Every persona switch, by trap or direct call: the kernel's one
      *  switch counter (PersonaManager::personaSwitches() reads it). */
-    std::uint64_t personaSwitches() const
-    {
-        return personaSwitches_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t personaSwitches() const;
     /** Traps rejected before a table was selected (wrong persona). */
-    std::uint64_t rejectedTraps() const
-    {
-        return rejected_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t rejectedTraps() const;
     /** Traps that resolved a table but found no handler for the nr. */
-    std::uint64_t unknownSyscalls() const
-    {
-        return unknownNr_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t unknownSyscalls() const;
     /** Traps whose handler asked for a missing/mistyped argument
      *  (BadSyscallArg caught at the trap boundary, failed EINVAL). */
-    std::uint64_t badArgTraps() const
-    {
-        return badArgTraps_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t badArgTraps() const;
     /** Processes SIGKILLed by the memory-pressure kill path. */
-    std::uint64_t oomKills() const
-    {
-        return oomKills_.load(std::memory_order_relaxed);
-    }
-    void recordBadArg()
-    {
-        badArgTraps_.fetch_add(1, std::memory_order_relaxed);
-    }
-    void recordOomKill()
-    {
-        oomKills_.fetch_add(1, std::memory_order_relaxed);
-    }
+    std::uint64_t oomKills() const;
+
+    /** Each shard's ring oldest to newest, shards in creation order. */
+    std::vector<TraceRecord> trace() const;
+    /** Records ever written, over every shard (a shard that wrote
+     *  more than kTraceCapacity has wrapped). */
+    std::uint64_t traceRecorded() const;
+
+    /** Trap-boundary merges into simulated CPU @p cpu. */
+    CpuTrapTotals cpuTraps(unsigned cpu) const;
+
+    /** Shards created so far (one per concurrently trapping host
+     *  thread; an exited thread's shard is reused). */
+    std::size_t shardCount() const;
     /// @}
 
-    TrapTracer &tracer() { return tracer_; }
-    const TrapTracer &tracer() const { return tracer_; }
-
     /** The /proc/cider/trapstats text: per-table per-syscall counts,
-     *  latency histograms, and the tail of the trace ring. */
+     *  latency histograms, and the trace rings. */
     std::string dump() const;
 
-    /** Zero all counters and the trace ring (benchmark warm-up). */
+    /** Zero all counters and the trace rings (benchmark warm-up; not
+     *  safe against concurrent traps). */
     void reset();
 
   private:
+    friend class SyscallTable;
+
+    /** The calling host thread's shard: one thread_local compare on
+     *  the fast path. */
+    TrapShard &
+    shard()
+    {
+        if (tCache_.serial == serial_) [[likely]]
+            return *tCache_.shard;
+        return adoptShard();
+    }
+
+    /** Hand back the calling thread's shard of another kernel, then
+     *  adopt a free shard of this one or create one. */
+    TrapShard &adoptShard();
+    /** Count one trap of the entry with counter slot @p slot in the
+     *  calling thread's shard @p sh. */
+    void countEntry(TrapShard &sh, std::uint32_t slot,
+                    std::uint64_t latency_ns, bool ok);
+    /** Size @p sh's counter cells to every slot handed out so far
+     *  (under mu_). */
+    void growCellsLocked(TrapShard &sh);
+    /** A counter slot for a new entry of an attached table. */
+    std::uint32_t newSlot();
+
+    /** One-entry per-host-thread cache: the shard of the TrapStats
+     *  whose serial it holds (serials start at 1 and are never
+     *  reused; a zeroed cache matches none). */
+    struct ShardCache
+    {
+        std::uint64_t serial;
+        TrapShard *shard;
+    };
+    static inline thread_local ShardCache tCache_;
+
+    /** Owns the calling host thread's shard (trap_stats.cc). */
+    struct ShardHold;
+    static thread_local ShardHold tHold_;
+
+    const std::uint64_t serial_;
     std::vector<const SyscallTable *> tables_;
-    TrapTracer tracer_;
-    std::atomic<std::uint64_t> personaSwitches_{0};
-    std::atomic<std::uint64_t> rejected_{0};
-    std::atomic<std::uint64_t> unknownNr_{0};
-    std::atomic<std::uint64_t> noReturnTraps_{0};
-    std::atomic<std::uint64_t> badArgTraps_{0};
-    std::atomic<std::uint64_t> oomKills_{0};
+
+    /** Guards shards_, slots_ and each shard's cell array; readers
+     *  hold it while they sum. */
+    mutable std::mutex mu_;
+    std::vector<std::shared_ptr<TrapShard>> shards_;
+    std::uint32_t slots_ = 0;
 };
 
 } // namespace cider::kernel

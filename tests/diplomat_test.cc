@@ -96,15 +96,14 @@ TEST_F(DiplomatTest, EachPersonaSwitchLeavesOneTraceRecord)
     Diplomat *d = dlib.find("observe");
     ASSERT_NE(d, nullptr);
     kernel::TrapStats &stats = kernel_.trapStats();
-    const kernel::TrapTracer &tracer = stats.tracer();
-    const std::uint64_t before = tracer.recorded();
+    const std::uint64_t before = stats.traceRecorded();
 
     // A call's two set_persona traps leave exactly two records, each
     // the switch itself with its trap's class, nr and latency.
     std::vector<binfmt::Value> args{std::int64_t{1}};
     d->call(*env_, args);
-    ASSERT_EQ(tracer.recorded(), before + 2);
-    std::vector<kernel::TraceRecord> trace = tracer.snapshot();
+    ASSERT_EQ(stats.traceRecorded(), before + 2);
+    std::vector<kernel::TraceRecord> trace = stats.trace();
     ASSERT_GE(trace.size(), 2u);
     const kernel::TraceRecord &in = trace[trace.size() - 2];
     const kernel::TraceRecord &out = trace.back();
@@ -123,8 +122,8 @@ TEST_F(DiplomatTest, EachPersonaSwitchLeavesOneTraceRecord)
 
     // A direct switch is no trap; it still leaves its one record.
     mgr_.setPersona(*thread_, Persona::Android);
-    ASSERT_EQ(tracer.recorded(), before + 3);
-    const kernel::TraceRecord direct = tracer.snapshot().back();
+    ASSERT_EQ(stats.traceRecorded(), before + 3);
+    const kernel::TraceRecord direct = stats.trace().back();
     EXPECT_EQ(direct.kind, kernel::TraceRecord::Kind::PersonaSwitch);
     EXPECT_EQ(direct.persona, Persona::Ios);
     EXPECT_EQ(direct.toPersona, Persona::Android);

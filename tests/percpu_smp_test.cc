@@ -2,13 +2,14 @@
  * @file
  * SMP per-CPU layer tests: the determinism gate (N-host-thread runs
  * report bit-identical virtual time to the serialized 1-thread run),
- * executor work stealing, the SchedRail collapse, the multi-writer
- * trap tracer, and the ExtMap's lock-free lookups and single-owner
- * contract.
+ * executor work stealing, the SchedRail collapse, per-host-thread
+ * trap bookkeeping under concurrent traps and readers, and the
+ * ExtMap's lock-free lookups and single-owner contract.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <latch>
@@ -19,11 +20,14 @@
 #include "base/cost_clock.h"
 #include "ducttape/xnu_api.h"
 #include "hw/device_profile.h"
+#include "kernel/file.h"
 #include "kernel/kernel.h"
 #include "kernel/linux_syscalls.h"
 #include "kernel/percpu.h"
 #include "kernel/sched_rail.h"
 #include "kernel/trap_stats.h"
+#include "persona/persona.h"
+#include "xnu/bsd_syscalls.h"
 
 namespace cider::kernel {
 namespace {
@@ -157,10 +161,9 @@ TEST(PerCpuSmpTest, TrapBoundaryMergesIntoBoundCpuEpoch)
                             .ok());
     }
 
-    const CpuSlot &slot = k.percpu().slot(2);
-    EXPECT_EQ(slot.trapMerges.load(), 5u);
+    EXPECT_EQ(k.trapStats().cpuTraps(2).merges, 5u);
     EXPECT_EQ(k.percpu().mergedEpochNs(), t.clock().now());
-    EXPECT_EQ(k.percpu().slot(0).trapMerges.load(), 0u);
+    EXPECT_EQ(k.trapStats().cpuTraps(0).merges, 0u);
 
     // The /proc node serves the same numbers.
     std::string dump = k.percpu().dump();
@@ -168,57 +171,245 @@ TEST(PerCpuSmpTest, TrapBoundaryMergesIntoBoundCpuEpoch)
     EXPECT_NE(dump.find("trap-merges 5"), std::string::npos);
 }
 
-TEST(PerCpuSmpTest, TrapTracerMultiWriterNeverTears)
+/** Syscall-number pieces of the trap storm below. */
+constexpr int kBsdNull = xnu::xnuno::NULL_SYSCALL;
+constexpr int kNull = sysno::NULL_SYSCALL;
+constexpr int kClose = sysno::CLOSE;
+constexpr int kSetPersona = sysno::SET_PERSONA;
+
+/** True when @p r is, field for field, one of the records the storm
+ *  writes; a record mixing two writes fails one of the checks. */
+bool
+isStormRecord(const TraceRecord &r)
 {
-    TrapTracer tracer(512);
-    constexpr unsigned kWriters = 4;
-    constexpr unsigned kPerWriter = 20000;
+    const bool bsd = r.cls == TrapClass::XnuBsd;
+    const bool lnx = r.cls == TrapClass::LinuxSyscall;
+    if (r.kind == TraceRecord::Kind::Trap)
+        return r.toPersona == Persona::Android && r.latencyNs > 0 &&
+               ((bsd && r.persona == Persona::Ios && r.nr == kBsdNull &&
+                 r.err == 0 && r.value == 0) ||
+                (lnx && r.persona == Persona::Android && r.nr == kNull &&
+                 r.err == 0 && r.value == 0) ||
+                (lnx && r.persona == Persona::Android && r.nr == kClose &&
+                 r.err == lnx::BADF && r.value == -1));
+    const bool toAndroid = r.persona == Persona::Ios &&
+                           r.toPersona == Persona::Android;
+    const bool toIos = r.persona == Persona::Android &&
+                       r.toPersona == Persona::Ios;
+    if (r.nr == kSetPersona)
+        return r.latencyNs > 0 && r.err == 0 &&
+               ((bsd && toAndroid) || (lnx && toIos));
+    return r.nr == 0 && lnx && r.latencyNs == 0 && r.err == 0 &&
+           r.value == 0 && (toAndroid || toIos);
+}
+
+TEST(PerCpuSmpTest, ShardedTrapsStayExactUnderConcurrentTraceReads)
+{
+    Kernel k(hw::DeviceProfile::nexus7());
+    xnu::MachIpc ipc;
+    xnu::PsynchSubsystem psynch;
+    persona::PersonaManager mgr(k, ipc, psynch);
+    mgr.install();
+    TrapStats &stats = k.trapStats();
+
+    constexpr unsigned kHosts = 4;
+    constexpr std::uint64_t kRounds = 2000;
+    // Per round: a BSD null trap, set_persona out, a Linux null trap,
+    // a failing close, set_persona back, and two direct switches.
+    constexpr std::uint64_t kRecordsPerRound = 7;
+    std::vector<Thread *> guests;
+    for (unsigned h = 0; h < kHosts; ++h)
+        guests.push_back(
+            &k.createProcess("smp.trap" + std::to_string(h), Persona::Ios)
+                 .mainThread());
 
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> torn{0};
-    // A concurrent snapshot storm: every record it surfaces must be
-    // internally consistent (all fields from one writer's one write).
+    std::atomic<std::uint64_t> reads{0};
     std::thread reader([&] {
         while (!stop.load(std::memory_order_relaxed)) {
-            for (const TraceRecord &r : tracer.snapshot()) {
-                std::uint64_t want =
-                    static_cast<std::uint64_t>(r.nr) * 1000003u +
-                    static_cast<std::uint64_t>(r.value);
-                if (r.timeNs != want)
+            std::vector<TraceRecord> trace = stats.trace();
+            for (std::size_t i = 0; i < trace.size(); ++i) {
+                if (!isStormRecord(trace[i]))
+                    torn.fetch_add(1, std::memory_order_relaxed);
+                // One ring (consecutive seq; every host thread holds
+                // its own shard throughout): time only moves forward.
+                if (i > 0 && trace[i].seq == trace[i - 1].seq + 1 &&
+                    trace[i].timeNs <= trace[i - 1].timeNs)
                     torn.fetch_add(1, std::memory_order_relaxed);
             }
+            reads.fetch_add(1, std::memory_order_relaxed);
         }
     });
 
-    std::vector<std::thread> writers;
-    for (unsigned w = 0; w < kWriters; ++w)
-        writers.emplace_back([&tracer, w] {
-            for (unsigned k = 0; k < kPerWriter; ++k) {
-                TraceRecord rec;
-                rec.nr = static_cast<int>(w + 1);
-                rec.value = static_cast<std::int64_t>(k);
-                rec.tid = static_cast<Tid>(w);
-                rec.latencyNs = k;
-                rec.timeNs = (w + 1) * 1000003u + k;
-                tracer.record(rec);
+    // Each host thread sums the latency of its traps per entry from
+    // its own clock: the counters' totalNs must come out exact.
+    struct Latency
+    {
+        std::uint64_t bsdNull = 0, null = 0, close = 0;
+    };
+    std::vector<Latency> latency(kHosts);
+    // No host thread finishes before all have trapped, so none hands
+    // its shard on to another: four shards, each with one writer.
+    std::latch trapping(kHosts);
+    std::vector<std::thread> hosts;
+    for (unsigned h = 0; h < kHosts; ++h)
+        hosts.emplace_back([&, h] {
+            Thread &t = *guests[h];
+            ThreadScope scope(t);
+            auto trap = [&](TrapClass cls, int nr, SyscallArgs args,
+                            bool ok) {
+                std::uint64_t before = t.clock().now();
+                EXPECT_EQ(k.trap(t, cls, nr, std::move(args)).ok(), ok);
+                return t.clock().now() - before;
+            };
+            for (std::uint64_t i = 0; i < kRounds; ++i) {
+                if (i == 1)
+                    trapping.arrive_and_wait();
+                latency[h].bsdNull +=
+                    trap(TrapClass::XnuBsd, kBsdNull, makeArgs(), true);
+                trap(TrapClass::XnuBsd, kSetPersona,
+                     makeArgs(static_cast<std::uint64_t>(Persona::Android)),
+                     true);
+                latency[h].null +=
+                    trap(TrapClass::LinuxSyscall, kNull, makeArgs(), true);
+                latency[h].close +=
+                    trap(TrapClass::LinuxSyscall, kClose,
+                         makeArgs(std::int64_t{9999}), false);
+                trap(TrapClass::LinuxSyscall, kSetPersona,
+                     makeArgs(static_cast<std::uint64_t>(Persona::Ios)),
+                     true);
+                mgr.setPersona(t, Persona::Android);
+                mgr.setPersona(t, Persona::Ios);
             }
         });
-    for (std::thread &t : writers)
-        t.join();
+    for (std::thread &h : hosts)
+        h.join();
     stop.store(true, std::memory_order_relaxed);
     reader.join();
 
     EXPECT_EQ(torn.load(), 0u);
-    EXPECT_EQ(tracer.recorded(), kWriters * kPerWriter);
-    // Every surviving slot holds a consistent record too.
-    for (const TraceRecord &r : tracer.snapshot()) {
-        std::uint64_t want = static_cast<std::uint64_t>(r.nr) * 1000003u +
-                             static_cast<std::uint64_t>(r.value);
-        EXPECT_EQ(r.timeNs, want);
+    EXPECT_GT(reads.load(), 0u);
+    const std::uint64_t n = kHosts * kRounds;
+    EXPECT_EQ(stats.traceRecorded(), n * kRecordsPerRound);
+    std::vector<TraceRecord> trace = stats.trace();
+    EXPECT_EQ(trace.size(), kHosts * TrapStats::kTraceCapacity);
+    for (const TraceRecord &r : trace)
+        EXPECT_TRUE(isStormRecord(r));
+
+    Latency total;
+    for (const Latency &l : latency) {
+        total.bsdNull += l.bsdNull;
+        total.null += l.null;
+        total.close += l.close;
     }
-    // Drops are possible under contention but must be the exception,
-    // not the rule (slots are only held for a few stores).
-    EXPECT_LT(tracer.dropped(), kWriters * kPerWriter / 10);
+    struct Row
+    {
+        const char *table;
+        int nr;
+        std::uint64_t errors;
+        std::uint64_t totalNs;
+    };
+    for (const Row &row : {Row{"xnu-bsd", kBsdNull, 0, total.bsdNull},
+                           Row{"linux", kNull, 0, total.null},
+                           Row{"linux", kClose, n, total.close}}) {
+        SCOPED_TRACE(std::string(row.table) + " nr " +
+                     std::to_string(row.nr));
+        SyscallStat s = stats.stat(row.table, row.nr);
+        EXPECT_EQ(s.calls, n);
+        std::uint64_t hist_sum = 0;
+        for (std::uint64_t b : s.hist)
+            hist_sum += b;
+        EXPECT_EQ(hist_sum, n);
+        EXPECT_EQ(s.errors, row.errors);
+        EXPECT_EQ(s.totalNs, row.totalNs);
+        EXPECT_EQ(stats.calls(row.table, row.nr), n);
+        EXPECT_EQ(stats.errors(row.table, row.nr), row.errors);
+        EXPECT_EQ(stats.totalNs(row.table, row.nr), row.totalNs);
+    }
+    EXPECT_EQ(stats.tableCalls("xnu-bsd"), n);
+    EXPECT_EQ(stats.tableCalls("linux"), 2 * n);
+    EXPECT_EQ(stats.personaSwitches(), 4 * n);
+    EXPECT_EQ(mgr.personaSwitches(), 4 * n);
+    EXPECT_EQ(stats.shardCount(), kHosts);
+}
+
+TEST(PerCpuSmpTest, ShardedTrapsTwoHostThreadsOnOneCpuSlot)
+{
+    // A stolen job binds a second host thread to its CPU slot: both
+    // threads' trap-boundary merges land in that CPU's totals.
+    Kernel k(hw::DeviceProfile::nexus7());
+    Thread *guests[2] = {&k.createProcess("slot.a").mainThread(),
+                         &k.createProcess("slot.b").mainThread()};
+    constexpr int kTraps[2] = {300, 500};
+    std::uint64_t clocks[2] = {0, 0};
+    std::latch start(2);
+    std::vector<std::thread> hosts;
+    for (int h = 0; h < 2; ++h)
+        hosts.emplace_back([&, h] {
+            CpuScope cpu(k.percpu(), 1);
+            Thread &t = *guests[h];
+            ThreadScope scope(t);
+            start.arrive_and_wait();
+            for (int i = 0; i < kTraps[h]; ++i)
+                EXPECT_TRUE(k.trap(t, TrapClass::LinuxSyscall, kNull,
+                                   makeArgs())
+                                .ok());
+            clocks[h] = t.clock().now();
+        });
+    for (std::thread &h : hosts)
+        h.join();
+
+    const std::uint64_t epoch = std::max(clocks[0], clocks[1]);
+    ASSERT_GT(epoch, 0u);
+    EXPECT_EQ(k.trapStats().cpuTraps(1).merges, 800u);
+    EXPECT_EQ(k.trapStats().cpuTraps(1).epochNs, epoch);
+    EXPECT_EQ(k.percpu().mergedEpochNs(), epoch);
+
+    Thread &reader = k.createProcess("reader").mainThread();
+    SyscallResult r =
+        k.sysOpen(reader, "/proc/cider/percpu", oflag::RDONLY);
+    ASSERT_TRUE(r.ok());
+    Bytes buf;
+    ASSERT_TRUE(k.sysRead(reader, static_cast<Fd>(r.value), buf, 4096).ok());
+    std::string text(buf.begin(), buf.end());
+    EXPECT_NE(text.find("cpu1  epoch " + std::to_string(epoch) +
+                        " ns  trap-merges 800  jobs 0  stolen 0\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("cpu0  epoch 0 ns  trap-merges 0"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("merged epoch: " + std::to_string(epoch) + " ns"),
+              std::string::npos)
+        << text;
+}
+
+TEST(PerCpuSmpTest, ShardedTrapsShortLivedHostThreadsReuseAShard)
+{
+    Kernel k(hw::DeviceProfile::nexus7());
+    TrapStats &stats = k.trapStats();
+    Thread &t = k.createProcess("short").mainThread();
+    {
+        ThreadScope scope(t);
+        ASSERT_TRUE(
+            k.trap(t, TrapClass::LinuxSyscall, kNull, makeArgs()).ok());
+    }
+    // Each exiting host thread hands its shard back, counts kept, and
+    // the next one adopts it.
+    constexpr std::uint64_t kHosts = 200;
+    for (std::uint64_t i = 0; i < kHosts; ++i) {
+        std::thread host([&] {
+            ThreadScope scope(t);
+            EXPECT_TRUE(
+                k.trap(t, TrapClass::LinuxSyscall, kNull, makeArgs()).ok());
+        });
+        host.join();
+    }
+    EXPECT_EQ(stats.calls("linux", kNull), kHosts + 1);
+    EXPECT_EQ(stats.tableCalls("linux"), kHosts + 1);
+    EXPECT_EQ(stats.traceRecorded(), kHosts + 1);
+    EXPECT_LE(stats.shardCount(), 2u);
 }
 
 TEST(PerCpuSmpTest, ExtMapConcurrentLazyGetResolvesToOneSlot)

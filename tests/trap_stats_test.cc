@@ -66,12 +66,12 @@ TEST_F(TrapStatsTest, LinuxCountsAndLatencyAccumulate)
     // Latency is virtual ns and a null syscall still pays trap entry.
     EXPECT_GT(stats.totalNs("linux", sysno::NULL_SYSCALL), 0u);
 
-    const SyscallStat *s = stats.stat("linux", sysno::NULL_SYSCALL);
-    ASSERT_NE(s, nullptr);
-    EXPECT_LE(s->minNs.load(), s->maxNs.load());
+    SyscallStat s = stats.stat("linux", sysno::NULL_SYSCALL);
+    EXPECT_EQ(s.calls, static_cast<std::uint64_t>(kCalls));
+    EXPECT_LE(s.minNs, s.maxNs);
     std::uint64_t hist_sum = 0;
-    for (const auto &b : s->hist)
-        hist_sum += b.load();
+    for (std::uint64_t b : s.hist)
+        hist_sum += b;
     EXPECT_EQ(hist_sum, static_cast<std::uint64_t>(kCalls));
 }
 
@@ -150,8 +150,7 @@ TEST_F(TrapStatsTest, TraceRingRecordsTrapsAndPersonaSwitches)
                            Persona::Android)))
                     .ok());
 
-    std::vector<TraceRecord> trace =
-        kernel_.trapStats().tracer().snapshot();
+    std::vector<TraceRecord> trace = kernel_.trapStats().trace();
     bool saw_trap = false, saw_switch = false;
     for (const TraceRecord &rec : trace) {
         if (rec.kind == TraceRecord::Kind::Trap &&
@@ -170,18 +169,18 @@ TEST_F(TrapStatsTest, TraceRingRecordsTrapsAndPersonaSwitches)
 
 TEST_F(TrapStatsTest, TraceRingWrapsWithoutLosingRecency)
 {
-    TrapTracer &tracer = kernel_.trapStats().tracer();
-    std::size_t cap = tracer.capacity();
+    TrapStats &stats = kernel_.trapStats();
+    std::size_t cap = TrapStats::kTraceCapacity;
     Thread &t = android_->mainThread();
     for (std::size_t i = 0; i < cap + 16; ++i)
         ASSERT_TRUE(trapAs(t, TrapClass::LinuxSyscall,
                            sysno::NULL_SYSCALL)
                         .ok());
-    EXPECT_GT(tracer.recorded(), static_cast<std::uint64_t>(cap));
-    std::vector<TraceRecord> trace = tracer.snapshot();
+    EXPECT_GT(stats.traceRecorded(), static_cast<std::uint64_t>(cap));
+    std::vector<TraceRecord> trace = stats.trace();
     EXPECT_EQ(trace.size(), cap);
-    // Snapshot is oldest-to-newest; the last record is the newest.
-    EXPECT_EQ(trace.back().seq, tracer.recorded() - 1);
+    // The trace is oldest-to-newest; the last record is the newest.
+    EXPECT_EQ(trace.back().seq, stats.traceRecorded() - 1);
 }
 
 TEST_F(TrapStatsTest, ProcNodeServesFreshDump)
@@ -219,7 +218,7 @@ TEST_F(TrapStatsTest, ResetClearsEverything)
     EXPECT_EQ(stats.totalCalls(), 0u);
     EXPECT_EQ(stats.calls("linux", sysno::NULL_SYSCALL), 0u);
     EXPECT_EQ(stats.personaSwitches(), 0u);
-    EXPECT_EQ(stats.tracer().recorded(), 0u);
+    EXPECT_EQ(stats.traceRecorded(), 0u);
 }
 
 TEST_F(TrapStatsTest, StatsRecordingDoesNotPerturbVirtualTime)
@@ -237,6 +236,21 @@ TEST_F(TrapStatsTest, StatsRecordingDoesNotPerturbVirtualTime)
                      makeArgs());
     });
     EXPECT_EQ(first, second);
+}
+
+TEST(SyscallStatTest, BucketOfIsFloorLog2CappedAtTheLastBucket)
+{
+    constexpr std::uint64_t k23 = std::uint64_t{1} << 23;
+    EXPECT_EQ(SyscallStat::bucketOf(0), 0);
+    EXPECT_EQ(SyscallStat::bucketOf(1), 0);
+    EXPECT_EQ(SyscallStat::bucketOf(2), 1);
+    EXPECT_EQ(SyscallStat::bucketOf(3), 1);
+    EXPECT_EQ(SyscallStat::bucketOf(4), 2);
+    EXPECT_EQ(SyscallStat::bucketOf(k23 - 1), 22);
+    EXPECT_EQ(SyscallStat::bucketOf(k23), 23);
+    EXPECT_EQ(SyscallStat::bucketOf(std::uint64_t{1} << 40), 23);
+    EXPECT_EQ(SyscallStat::bucketOf(UINT64_MAX), 23);
+    static_assert(SyscallStat::kBuckets == 24);
 }
 
 using TrapStatsDeathTest = TrapStatsTest;
