@@ -89,8 +89,7 @@ roundTrip(Mode mode, std::size_t bytes)
         if (mode == Mode::Ool) {
             std::uint64_t addr = sender.mapObject(
                 "payload",
-                vm.wrapBytes("payload",
-                             Bytes(bytes, std::uint8_t{0x5a})),
+                vm.wrapBytes(Bytes(bytes, std::uint8_t{0x5a})),
                 kernel::VM_PROT_RW, false, false);
             xnu::OolDescriptor ool;
             ipc.makeOolFromRegion(sender, addr, /*deallocate=*/true,

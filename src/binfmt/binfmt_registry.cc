@@ -52,7 +52,8 @@ ElfLoader::load(kernel::Kernel &k, kernel::Thread &t, const Bytes &blob,
     image.argv = argv;
 
     for (const auto &seg : parsed->segments)
-        proc.mem().addMapping(path + ":" + seg.name, seg.pages);
+        proc.mem().addMapping(k.vm().intern(path + ":" + seg.name),
+                              seg.pages);
 
     t.setPersona(kernel::Persona::Android);
 
@@ -103,7 +104,8 @@ MachOLoader::load(kernel::Kernel &k, kernel::Thread &t, const Bytes &blob,
     image.argv = argv;
 
     for (const auto &seg : parsed->segments)
-        proc.mem().addMapping(path + ":" + seg.name, seg.pages);
+        proc.mem().addMapping(k.vm().intern(path + ":" + seg.name),
+                              seg.pages);
 
     // The key step: loading a Mach-O binary tags the thread with the
     // iOS persona, used in all subsequent kernel interactions.

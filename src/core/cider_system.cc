@@ -93,8 +93,8 @@ CiderSystem::CiderSystem(const SystemOptions &opts)
                     }
                     charge(profile_.storageOpenNs +
                            profile_.cyclesToNs(6000));
-                    env.process().mem().addMapping("so:" + dep,
-                                                   lib->pages);
+                    env.process().mem().addMapping(
+                        env.kernel.vm().intern("so:" + dep), lib->pages);
                 }
             };
         kernel_->registerLoader(std::make_unique<binfmt::ElfLoader>(

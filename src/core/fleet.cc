@@ -1076,7 +1076,6 @@ Engine::soak(std::uint64_t stormSeed,
     ensureInstalled(sys_);
     warmUp(Persona::Ios);
     warmUp(Persona::Android);
-    k_.sweepReaped();
     report_.before = takeLeakSnapshot(sys_);
 
     init_ = &k_.createProcess("fleet.init", Persona::Android, nullptr);
@@ -1112,7 +1111,6 @@ Engine::soak(std::uint64_t stormSeed,
     k_.reapProcess(init_->pid());
     init_ = nullptr;
 
-    k_.sweepReaped();
     report_.after = takeLeakSnapshot(sys_);
     report_.auditClean = leakAuditClean(report_.before, report_.after,
                                         &report_.auditDetail);

@@ -32,8 +32,8 @@ struct Dyld::LaunchPlan
          *  warns at this point of the walk, as the walk did. */
         const binfmt::LibraryImage *image = nullptr;
         std::string name;
-        std::string path;    ///< the file the walk opens
-        std::string mapping; ///< its VmMap entry name
+        std::string path;       ///< the file the walk opens
+        kernel::VmName mapping; ///< its VmMap entry name, interned
     };
 
     std::vector<Step> steps;
@@ -77,7 +77,7 @@ Dyld::resolve(binfmt::UserEnv &env, const std::string &symbol)
 
 void
 Dyld::planImage(const std::string &name, DyldImages &seen,
-                LaunchPlan &plan) const
+                LaunchPlan &plan, kernel::VmSubsystem &vm) const
 {
     const binfmt::LibraryImage *img = libraries_.find(name);
     if (!img) {
@@ -86,32 +86,34 @@ Dyld::planImage(const std::string &name, DyldImages &seen,
     }
     if (!seen.insert(*img))
         return;
-    plan.steps.push_back(
-        {img, name, libraryDir_ + "/" + name, "dylib:" + name});
+    plan.steps.push_back({img, name, libraryDir_ + "/" + name,
+                          vm.intern("dylib:" + name)});
     ++plan.images;
     plan.atexitHandlers += std::max(img->exitHandlers, 1);
     plan.atforkHandlers += std::max(img->atforkHandlers, 0);
     // Recurse into dependencies (already-planned ones are skipped).
     for (const std::string &dep : img->deps)
-        planImage(dep, seen, plan);
+        planImage(dep, seen, plan, vm);
 }
 
 std::shared_ptr<const Dyld::LaunchPlan>
-Dyld::launchPlan(const std::vector<std::string> &roots)
+Dyld::launchPlan(const std::vector<std::string> &roots,
+                 kernel::VmSubsystem &vm)
 {
     // Building a plan makes no trap and charges nothing, so holding
     // the lock through it keeps concurrent first launches to one build.
     std::lock_guard<std::mutex> lock(planMu_);
-    if (planGen_ != libraries_.generation()) {
+    if (planGen_ != libraries_.generation() || planVm_ != &vm) {
         plans_.clear();
         planGen_ = libraries_.generation();
+        planVm_ = &vm;
     }
     std::shared_ptr<const LaunchPlan> &slot = plans_[roots];
     if (!slot) {
         auto plan = std::make_shared<LaunchPlan>();
         DyldImages seen;
         for (const std::string &root : roots)
-            planImage(root, seen, *plan);
+            planImage(root, seen, *plan, vm);
         plan->cachePages = libraries_.totalPages();
         slot = std::move(plan);
     }
@@ -125,7 +127,8 @@ Dyld::bootstrap(binfmt::UserEnv &env, const binfmt::MachOImage &image)
     bool shared_cache = profile.dyldSharedCache;
     if (sharedCacheOverride_ >= 0)
         shared_cache = sharedCacheOverride_ != 0;
-    const std::shared_ptr<const LaunchPlan> plan = launchPlan(image.dylibs);
+    const std::shared_ptr<const LaunchPlan> plan =
+        launchPlan(image.dylibs, env.kernel.vm());
     kernel::AddressSpace &mem = env.process().mem();
 
     if (shared_cache) {

@@ -16,7 +16,9 @@
  * it once: the first launch of a root list builds a launch plan (the
  * deduplicated depth-first image list with its prebuilt paths), and
  * every later launch replays it. Plans are host-only state; see
- * DESIGN.md, "Prelinked launch plan".
+ * DESIGN.md, "Prelinked launch plan". A plan holds its images' entry
+ * names interned in the kernel it was built for, so a replay maps
+ * them without copying a string.
  */
 
 #ifndef CIDER_IOS_DYLD_H
@@ -31,6 +33,7 @@
 #include "binfmt/binfmt_registry.h"
 #include "binfmt/macho.h"
 #include "binfmt/program.h"
+#include "kernel/vm.h"
 
 namespace cider::ios {
 
@@ -88,11 +91,12 @@ class Dyld
     struct LaunchPlan;
 
     /** The plan for @p roots at the registry's current generation,
-     *  built on first use. */
+     *  built on first use with its names interned in @p vm. */
     std::shared_ptr<const LaunchPlan>
-    launchPlan(const std::vector<std::string> &roots);
+    launchPlan(const std::vector<std::string> &roots,
+               kernel::VmSubsystem &vm);
     void planImage(const std::string &name, DyldImages &seen,
-                   LaunchPlan &plan) const;
+                   LaunchPlan &plan, kernel::VmSubsystem &vm) const;
 
     binfmt::LibraryRegistry &libraries_;
     std::string libraryDir_;
@@ -104,10 +108,12 @@ class Dyld
      * rail guest holding it there could block every other guest.
      */
     std::mutex planMu_;
-    /** Plans by root list, all built at registry generation planGen_. */
+    /** Plans by root list, all built at registry generation planGen_
+     *  with names interned in planVm_. */
     std::map<std::vector<std::string>, std::shared_ptr<const LaunchPlan>>
         plans_;
     std::uint64_t planGen_ = 0;
+    const kernel::VmSubsystem *planVm_ = nullptr;
 };
 
 } // namespace cider::ios

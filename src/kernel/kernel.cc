@@ -274,8 +274,6 @@ Kernel::reapProcess(Pid pid)
     Process &proc = *it->second;
     if (proc.state() == Process::State::Running)
         return false;
-    if (proc.state() == Process::State::Zombie)
-        proc.markReaped();
     // Children keep raw parent pointers; orphans are adopted by
     // "init" (no parent) before the entry is destroyed.
     for (auto &[cpid, child] : processes_)
@@ -283,26 +281,6 @@ Kernel::reapProcess(Pid pid)
             child->reparent(nullptr);
     processes_.erase(it);
     return true;
-}
-
-std::size_t
-Kernel::sweepReaped()
-{
-    std::lock_guard<std::mutex> lock(procMu_);
-    std::size_t freed = 0;
-    for (auto it = processes_.begin(); it != processes_.end();) {
-        if (it->second->state() != Process::State::Reaped) {
-            ++it;
-            continue;
-        }
-        Process &proc = *it->second;
-        for (auto &[cpid, child] : processes_)
-            if (child.get() != &proc && child->parent() == &proc)
-                child->reparent(nullptr);
-        it = processes_.erase(it);
-        ++freed;
-    }
-    return freed;
 }
 
 SyscallResult
@@ -947,7 +925,9 @@ Kernel::sysWaitpid(Thread &t, Pid pid, int *status)
     // Merge virtual time: the parent observed the child's lifetime.
     if (child->exitVirtualTime() > t.clock().now())
         t.clock().charge(child->exitVirtualTime() - t.clock().now());
-    child->markReaped();
+    // The wait reaps: the child's table entry, Process and address
+    // space go now, as reapProcess releases them.
+    reapProcess(pid);
     return SyscallResult::success(pid);
 }
 

@@ -196,20 +196,14 @@ class Kernel
      *  /proc/cider/vm; keep @p fn non-blocking). */
     void forEachProcess(const std::function<void(Process &)> &fn) const;
     /**
-     * Init-style reap: release the table entry of a Zombie/Reaped
-     * process, destroying the Process object (address space, fd
-     * table, Mach IPC space, threads). The caller must hold no
-     * references to the process. Returns false when @p pid is
-     * unknown or still Running — a running process is never torn
+     * Init-style reap: release the table entry of a Zombie process,
+     * destroying the Process object (address space, fd table, Mach
+     * IPC space, threads). The caller must hold no references to the
+     * process. Returns false when @p pid is unknown (a wait reaped it
+     * already) or still Running — a running process is never torn
      * down out from under its host thread.
      */
     bool reapProcess(Pid pid);
-    /**
-     * Release every Reaped table entry (session teardown; the fleet
-     * soak's post-run sweep). Returns the number of entries freed.
-     * Zombies are left alone: they still owe their parent a wait.
-     */
-    std::size_t sweepReaped();
     /// @}
 
     /// @{ Virtual memory.
@@ -356,6 +350,9 @@ class Kernel
 
     [[noreturn]] void sysExit(Thread &t, int code);
 
+    /** Wait for child @p pid to exit, then reap it (reapProcess): its
+     *  Process is destroyed before the wait returns, so the caller
+     *  must not use it afterwards. */
     SyscallResult sysWaitpid(Thread &t, Pid pid, int *status);
     /// @}
 

@@ -92,8 +92,6 @@ CpuScope::CpuScope(PerCpu &cpus, unsigned cpu) : prev_(t_cpuSlot)
 
 CpuScope::~CpuScope()
 {
-    if (t_cpuSlot)
-        t_cpuSlot->current.store(nullptr, std::memory_order_relaxed);
     t_cpuSlot = prev_;
 }
 
@@ -143,7 +141,7 @@ ExecutorPool::workerLoop(unsigned w)
         lock.unlock();
         Job job;
         bool stolen = false;
-        while (popJob(w, &job, &stolen))
+        while (popJob(w, hostThreads_, &job, &stolen))
             runJob(job, stolen, *percpu, *steals);
         lock.lock();
         if (++doneCount_ == workers_.size())
@@ -175,7 +173,8 @@ ExecutorPool::submitOn(unsigned cpu, std::function<std::uint64_t()> fn,
 }
 
 bool
-ExecutorPool::popJob(unsigned worker, Job *out, bool *stolen)
+ExecutorPool::popJob(unsigned worker, unsigned workers, Job *out,
+                     bool *stolen)
 {
     unsigned n = cpus_.count();
     unsigned primary = worker % n;
@@ -185,7 +184,7 @@ ExecutorPool::popJob(unsigned worker, Job *out, bool *stolen)
         std::lock_guard<std::mutex> lock(shard.mu);
         if (shard.head < shard.jobs.size()) {
             *out = std::move(shard.jobs[shard.head++]);
-            *stolen = (i != 0);
+            *stolen = i != 0 && cpu < workers;
             return true;
         }
     }
@@ -250,7 +249,7 @@ ExecutorPool::runAll()
         // workers (and none spawned for single-threaded pools).
         Job job;
         bool stolen = false;
-        while (popJob(0, &job, &stolen))
+        while (popJob(0, 1, &job, &stolen))
             runJob(job, stolen, percpu_ns, steals);
     } else {
         // Hand the batch to the persistent workers: publish the

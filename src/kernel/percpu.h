@@ -10,11 +10,10 @@
  *
  *  - PerCpu: an array of CpuSlot records sized from the device
  *    profile's core count (the simulated machine's CPUs, not the
- *    host's). Each slot tracks the thread it is currently simulating,
- *    a local virtual-time epoch, and executor counters. A host thread
- *    *binds* to a slot with CpuScope; percpu-aware subsystems (the
- *    zalloc magazine layer, the trap path's epoch merge) key off
- *    PerCpu::currentCpu().
+ *    host's). Each slot holds a local virtual-time epoch and executor
+ *    counters. A host thread *binds* to a slot with CpuScope;
+ *    percpu-aware subsystems (the zalloc magazine layer, the trap
+ *    path's epoch merge) key off PerCpu::currentCpu().
  *
  *  - ExecutorPool: runs a batch of guest jobs on N host threads over
  *    sharded per-CPU run queues with work stealing. *Virtual* CPU
@@ -61,7 +60,6 @@
 
 namespace cider::kernel {
 
-class Thread;
 class TrapStats;
 
 /** Hard ceiling on simulated CPUs (magazine arrays are sized by it). */
@@ -71,8 +69,6 @@ inline constexpr unsigned kMaxCpus = 64;
 struct CpuSlot
 {
     std::uint32_t id = 0;
-    /** Thread this CPU is currently simulating (observability). */
-    std::atomic<Thread *> current{nullptr};
     /** Virtual-time epoch in ns from finished batches (see
      *  epoch-merge rules; trap boundaries merge in TrapStats). */
     std::atomic<std::uint64_t> epochNs{0};
@@ -157,8 +153,8 @@ struct SmpEpoch
     /** Per-simulated-CPU virtual ns (sum over that CPU's jobs). */
     std::vector<std::uint64_t> perCpuNs;
     std::uint64_t jobs = 0;
-    /** Jobs executed by a host worker other than their virtual CPU's
-     *  primary worker (host-side only; never affects virtual time). */
+    /** Jobs a host worker took from a CPU that another worker of the
+     *  batch owns (host-side only; never affects virtual time). */
     std::uint64_t steals = 0;
 };
 
@@ -229,9 +225,15 @@ class ExecutorPool
         std::uint64_t seq;
     };
 
-    /** Pop a job for worker @p worker; steal when its shard is dry.
-     *  Returns false when every shard is empty. */
-    bool popJob(unsigned worker, Job *out, bool *stolen);
+    /**
+     * Pop a job for worker @p worker of the @p workers draining the
+     * batch, from another shard when its own is dry. The job counts
+     * as stolen only when another of those workers owns its CPU (CPU
+     * c is worker c's primary, so it has an owner when c < @p
+     * workers). Returns false when every shard is empty.
+     */
+    bool popJob(unsigned worker, unsigned workers, Job *out,
+                bool *stolen);
     void runJob(const Job &job, bool stolen,
                 std::vector<std::atomic<std::uint64_t>> &percpu_ns,
                 std::atomic<std::uint64_t> &steals);

@@ -61,8 +61,7 @@ class Process
     enum class State
     {
         Running,
-        Zombie, ///< exited, not yet reaped by parent
-        Reaped,
+        Zombie, ///< exited, not yet reaped (reaping destroys it)
     };
 
     Process(Pid pid, std::string name, Process *parent);
@@ -96,11 +95,6 @@ class Process
     /** Kernel-side exit: close fds, flip to Zombie, wake waiters. */
     void terminate(int code, std::uint64_t vtime);
 
-    void markReaped()
-    {
-        state_.store(State::Reaped, std::memory_order_release);
-    }
-
     /** Block the calling host thread until this process is a zombie. */
     void waitUntilZombie();
 
@@ -118,8 +112,8 @@ class Process
 
     std::mutex mu_;
     std::condition_variable exitCv_;
-    /** Release-stored by terminate (under mu_) and markReaped; read
-     *  without mu_ by signal delivery (sysKill, notifyParentExit). */
+    /** Release-stored by terminate (under mu_); read without mu_ by
+     *  signal delivery (sysKill, notifyParentExit). */
     std::atomic<State> state_{State::Running};
     int exitCode_ = 0;
     std::uint64_t exitVtime_ = 0;

@@ -375,7 +375,6 @@ TrapStats::recordTrap(const TrapContext &ctx, const SyscallResult &r,
     // to a simulated CPU, fold the thread's clock into that CPU's
     // trap epoch (DESIGN.md §11).
     if (CpuSlot *cpu = PerCpu::currentSlot()) {
-        cpu->current.store(&ctx.thread, kRelaxed);
         TrapShard::CpuMerge &m = sh.cpu[cpu->id];
         bump(m.merges);
         if (now > m.epochNs.load(kRelaxed))

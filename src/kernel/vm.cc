@@ -25,6 +25,18 @@ pageCount(std::uint64_t bytes)
     return (bytes + kVmPageBytes - 1) / kVmPageBytes;
 }
 
+void
+bump(std::atomic<std::uint64_t> &counter, std::uint64_t n = 1)
+{
+    counter.fetch_add(n, std::memory_order_relaxed);
+}
+
+std::uint64_t
+load(const std::atomic<std::uint64_t> &counter)
+{
+    return counter.load(std::memory_order_relaxed);
+}
+
 /** Copy one page of @p src (zero-fill past its data) into @p dst. */
 void
 copyPage(const VmObject &src, VmObject &dst, std::uint64_t page)
@@ -32,6 +44,23 @@ copyPage(const VmObject &src, VmObject &dst, std::uint64_t page)
     Bytes buf;
     src.readAt(page * kVmPageBytes, kVmPageBytes, &buf);
     dst.writeAt(page * kVmPageBytes, buf);
+}
+
+/**
+ * The entry containing @p addr, or end(). Entries are sorted by base
+ * and disjoint: the bump allocator only grows, and erase and fork
+ * keep their order.
+ */
+template <typename Entries>
+auto
+findEntry(Entries &entries, std::uint64_t addr) -> decltype(entries.begin())
+{
+    auto it = std::upper_bound(
+        entries.begin(), entries.end(), addr,
+        [](std::uint64_t a, const VmEntry &e) { return a < e.base; });
+    if (it == entries.begin() || !std::prev(it)->contains(addr))
+        return entries.end();
+    return std::prev(it);
 }
 
 } // namespace
@@ -94,43 +123,49 @@ VmSubsystem::VmSubsystem(const hw::DeviceProfile *profile)
 {}
 
 VmObjectPtr
-VmSubsystem::makeObject(std::string name, std::uint64_t pages,
-                        std::uint64_t resident)
+VmSubsystem::makeObject(std::uint64_t pages, std::uint64_t resident)
 {
     auto obj = std::make_shared<VmObject>();
-    obj->name = std::move(name);
     obj->pages = pages;
     obj->resident = std::min(resident, pages);
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.objectsCreated;
+    noteObjectCreated();
     return obj;
 }
 
 VmObjectPtr
-VmSubsystem::wrapBytes(std::string name, Bytes &&payload)
+VmSubsystem::wrapBytes(Bytes &&payload)
 {
     std::uint64_t pages = pageCount(payload.size());
-    auto obj = makeObject(std::move(name), pages, pages);
+    auto obj = makeObject(pages, pages);
     obj->data = std::move(payload);
     return obj;
 }
 
 VmObjectPtr
-VmSubsystem::sharedRegion(const std::string &name, std::uint64_t pages)
+VmSubsystem::sharedRegion(std::string_view name, std::uint64_t pages)
 {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = sharedRegions_.find(name);
     if (it != sharedRegions_.end())
         return it->second;
     auto obj = std::make_shared<VmObject>();
-    obj->name = name;
     obj->pages = pages;
     obj->resident = pages;
     obj->sharedRegion = true;
-    ++stats_.objectsCreated;
-    stats_.sharedRegionPages += pages;
-    sharedRegions_[name] = obj;
+    noteObjectCreated();
+    bump(counters_.sharedRegionPages, pages);
+    sharedRegions_.emplace(name, obj);
     return obj;
+}
+
+VmName
+VmSubsystem::intern(std::string_view name)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = names_.find(name);
+    if (it == names_.end())
+        it = names_.emplace(name).first;
+    return VmName(*it);
 }
 
 std::uint64_t
@@ -146,45 +181,50 @@ VmSubsystem::cowFaultNs() const
 }
 
 void
+VmSubsystem::noteObjectCreated()
+{
+    bump(counters_.objectsCreated);
+}
+
+void
 VmSubsystem::noteCowFault(std::uint64_t pages_broken)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.cowFaults;
-    stats_.brokenPages += pages_broken;
+    bump(counters_.cowFaults);
+    bump(counters_.brokenPages, pages_broken);
 }
 
 void
 VmSubsystem::noteFork(bool eager)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (eager)
-        ++stats_.eagerForks;
-    else
-        ++stats_.cowForks;
+    bump(eager ? counters_.eagerForks : counters_.cowForks);
 }
 
 void
 VmSubsystem::noteOolZeroCopy()
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.oolZeroCopySends;
+    bump(counters_.oolZeroCopySends);
 }
 
 void
 VmSubsystem::noteBodySend(bool promoted)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (promoted)
-        ++stats_.oolPromotedBodies;
-    else
-        ++stats_.inlineBodies;
+    bump(promoted ? counters_.oolPromotedBodies : counters_.inlineBodies);
 }
 
 VmStats
 VmSubsystem::statsSnapshot() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    return stats_;
+    VmStats s;
+    s.objectsCreated = load(counters_.objectsCreated);
+    s.cowFaults = load(counters_.cowFaults);
+    s.brokenPages = load(counters_.brokenPages);
+    s.sharedRegionPages = load(counters_.sharedRegionPages);
+    s.cowForks = load(counters_.cowForks);
+    s.eagerForks = load(counters_.eagerForks);
+    s.oolZeroCopySends = load(counters_.oolZeroCopySends);
+    s.oolPromotedBodies = load(counters_.oolPromotedBodies);
+    s.inlineBodies = load(counters_.inlineBodies);
+    return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -222,22 +262,25 @@ VmMap::privatePages() const
     return total;
 }
 
-void
-VmMap::addMapping(const std::string &name, std::uint64_t pages, bool shared)
+std::uint64_t
+VmMap::addMapping(VmName name, std::uint64_t pages, bool shared)
 {
     // Legacy loader surface: image segments arrive fully resident (an
-    // eager fork would have to copy their contents). No charge here —
-    // loaders charge their own link/IO costs.
-    VmObjectPtr obj = vm().makeObject(name, pages, pages);
-    mapObject(name, std::move(obj), VM_PROT_RW, /*cow=*/false, shared);
+    // eager fork would have to copy their contents). The object they
+    // stand for is counted now and made only when needed; nothing can
+    // tell the difference, since its pages hold no bytes.
+    vm().noteObjectCreated();
+    std::lock_guard<std::mutex> lk(mu_);
+    return insertLocked(name, pages, nullptr, VM_PROT_RW, /*cow=*/false,
+                        shared);
 }
 
 bool
-VmMap::hasMapping(const std::string &name) const
+VmMap::hasMapping(std::string_view name) const
 {
     std::lock_guard<std::mutex> lk(mu_);
     for (const VmEntry &e : entries_)
-        if (e.name == name)
+        if (e.name.view() == name)
             return true;
     return false;
 }
@@ -251,30 +294,49 @@ VmMap::reset()
 }
 
 std::uint64_t
-VmMap::mapObject(const std::string &name, VmObjectPtr object,
-                 std::uint8_t prot, bool cow, bool shared)
+VmMap::mapObject(VmName name, VmObjectPtr object, std::uint8_t prot,
+                 bool cow, bool shared)
 {
+    std::uint64_t pages = object ? object->pages : 0;
     std::lock_guard<std::mutex> lk(mu_);
-    VmEntry e;
+    return insertLocked(name, pages, std::move(object), prot, cow, shared);
+}
+
+std::uint64_t
+VmMap::insertLocked(VmName name, std::uint64_t pages, VmObjectPtr object,
+                    std::uint8_t prot, bool cow, bool shared)
+{
+    VmEntry &e = entries_.emplace_back();
     e.name = name;
     e.base = nextBase_;
-    e.pages = object ? object->pages : 0;
+    e.pages = pages;
     e.object = std::move(object);
     e.prot = prot;
     e.cow = cow;
     e.shared = shared;
-    nextBase_ += std::max<std::uint64_t>(e.pages, 1) * kVmPageBytes;
-    entries_.push_back(std::move(e));
-    return entries_.back().base;
+    nextBase_ += std::max<std::uint64_t>(pages, 1) * kVmPageBytes;
+    return e.base;
+}
+
+VmObject &
+VmMap::backingLocked(VmEntry &e)
+{
+    if (!e.object) {
+        // Host-only: the object addMapping counted when it mapped e.
+        e.object = std::make_shared<VmObject>();
+        e.object->pages = e.pages;
+        e.object->resident = e.pages;
+    }
+    return *e.object;
 }
 
 std::uint64_t
-VmMap::allocate(const std::string &name, std::uint64_t pages)
+VmMap::allocate(VmName name, std::uint64_t pages)
 {
     if (CIDER_FAULT_POINT("vm.allocate"))
         return 0; // injected resource shortage
     charge(kVmAllocateNs);
-    VmObjectPtr obj = vm().makeObject(name, pages, /*resident=*/0);
+    VmObjectPtr obj = vm().makeObject(pages, /*resident=*/0);
     return mapObject(name, std::move(obj), VM_PROT_RW, /*cow=*/false,
                      /*shared=*/false);
 }
@@ -283,22 +345,22 @@ bool
 VmMap::deallocate(std::uint64_t addr)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->contains(addr)) {
-            entries_.erase(it);
-            return true;
-        }
-    }
-    return false;
+    auto it = findEntry(entries_, addr);
+    if (it == entries_.end())
+        return false;
+    entries_.erase(it);
+    return true;
 }
 
 void
 VmMap::breakPageLocked(VmEntry &e, std::uint64_t page)
 {
-    if (!e.shadow) {
-        e.shadow = vm().makeObject(e.name + ":shadow", e.pages, 0);
-    }
-    copyPage(*e.object, *e.shadow, page);
+    if (!e.shadow)
+        e.shadow = vm().makeObject(e.pages, 0);
+    if (e.object)
+        copyPage(*e.object, *e.shadow, page);
+    else // no backing: the page is zeros
+        e.shadow->writeAt(page * kVmPageBytes, Bytes(kVmPageBytes, 0));
     vm().noteCowFault(1);
 }
 
@@ -347,7 +409,7 @@ VmMap::write(std::uint64_t addr, const Bytes &src)
     if (e->cow)
         e->shadow->writeAt(off, src);
     else
-        e->object->writeAt(off, src);
+        backingLocked(*e).writeAt(off, src);
     return 0;
 }
 
@@ -355,15 +417,10 @@ int
 VmMap::read(std::uint64_t addr, std::uint64_t len, Bytes *out) const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    const VmEntry *e = nullptr;
-    for (const VmEntry &cand : entries_) {
-        if (cand.contains(addr)) {
-            e = &cand;
-            break;
-        }
-    }
-    if (!e || addr + len > e->base + e->sizeBytes())
+    auto it = findEntry(entries_, addr);
+    if (it == entries_.end() || addr + len > it->base + it->sizeBytes())
         return -1;
+    const VmEntry *e = &*it;
     charge(len * vm().profile().memReadBytePs / 1000);
     out->clear();
     if (len == 0)
@@ -378,9 +435,13 @@ VmMap::read(std::uint64_t addr, std::uint64_t len, Bytes *out) const
         std::uint64_t page = cur / kVmPageBytes;
         std::uint64_t in_page = cur % kVmPageBytes;
         std::uint64_t take = std::min(len - done, kVmPageBytes - in_page);
-        const VmObject &src =
-            (e->cow && e->broken.count(page)) ? *e->shadow : *e->object;
-        src.readAt(cur, take, &chunk);
+        const VmObject *src = (e->cow && e->broken.count(page))
+                                  ? e->shadow.get()
+                                  : e->object.get();
+        if (src)
+            src->readAt(cur, take, &chunk);
+        else
+            chunk.assign(take, 0); // no backing: a zero page
         out->insert(out->end(), chunk.begin(), chunk.end());
         done += take;
     }
@@ -395,6 +456,7 @@ VmMap::forkFrom(VmMap &parent, bool eager)
         vm_ = parent.vm_;
     nextBase_ = parent.nextBase_;
     entries_.clear();
+    entries_.reserve(parent.entries_.size());
 
     for (VmEntry &pe : parent.entries_) {
         if (pe.shared) {
@@ -408,12 +470,12 @@ VmMap::forkFrom(VmMap &parent, bool eager)
         if (eager) {
             // Pre-VM baseline: copy the page tables AND all resident
             // content at fork time.
-            std::uint64_t res = std::min(pe.object->resident, pe.pages);
+            const VmObject &obj = parent.backingLocked(pe);
+            std::uint64_t res = std::min(obj.resident, pe.pages);
             charge(pe.pages * vm().profile().pageCopyEntryNs +
                    res * vm().pageCopyBytesNs());
-            VmObjectPtr copy =
-                vm().makeObject(pe.object->name, pe.pages, res);
-            copy->data = pe.object->data;
+            VmObjectPtr copy = vm().makeObject(pe.pages, res);
+            copy->data = obj.data;
             // Broken pages live in the shadow; fold them in.
             for (std::uint64_t p : pe.broken)
                 copyPage(*pe.shadow, *copy, p);
@@ -426,7 +488,8 @@ VmMap::forkFrom(VmMap &parent, bool eager)
             continue;
         }
 
-        // COW: both sides alias the backing object; only the PTE
+        // COW: both sides alias the backing object (an image mapping
+        // with none stays without one on both sides); only the PTE
         // write-protect sweep is charged (a real COW fork pays the
         // same walk), content copies wait for write faults.
         charge(kVmEntryAliasNs +
@@ -438,8 +501,7 @@ VmMap::forkFrom(VmMap &parent, bool eager)
             // Pages the parent had already privately broken are
             // duplicated now — they are not in the shared object.
             charge(pe.broken.size() * vm().pageCopyBytesNs());
-            VmObjectPtr dup =
-                vm().makeObject(pe.shadow->name, pe.shadow->pages, 0);
+            VmObjectPtr dup = vm().makeObject(pe.shadow->pages, 0);
             for (std::uint64_t p : pe.broken)
                 copyPage(*pe.shadow, *dup, p);
             ce.shadow = std::move(dup);
@@ -458,9 +520,11 @@ VmMap::snapshotForSend(std::uint64_t addr, bool deallocate)
     CIDER_SCHED_POINT("vm.oolCopyin");
 
     std::lock_guard<std::mutex> lk(mu_);
-    VmEntry *e = findByAddrLocked(addr);
-    if (!e)
+    auto it = findEntry(entries_, addr);
+    if (it == entries_.end())
         return nullptr;
+    VmEntry *e = &*it;
+    backingLocked(*e);
 
     VmObjectPtr snap;
     if (e->broken.empty()) {
@@ -471,8 +535,7 @@ VmMap::snapshotForSend(std::uint64_t addr, bool deallocate)
     } else {
         // Compose object + shadow overlay into a stable snapshot.
         charge(e->broken.size() * vm().pageCopyBytesNs());
-        snap = vm().makeObject(e->name + ":snap", e->pages,
-                               e->object->resident);
+        snap = vm().makeObject(e->pages, e->object->resident);
         snap->data = e->object->data;
         for (std::uint64_t p : e->broken)
             copyPage(*e->shadow, *snap, p);
@@ -480,12 +543,7 @@ VmMap::snapshotForSend(std::uint64_t addr, bool deallocate)
 
     if (deallocate) {
         // Moved: the sender loses its mapping.
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (&*it == e) {
-                entries_.erase(it);
-                break;
-            }
-        }
+        entries_.erase(it);
     } else {
         // Copied: the sender keeps the mapping, but it goes COW so
         // later sender writes cannot reach the in-flight snapshot.
@@ -500,16 +558,6 @@ VmMap::snapshotForSend(std::uint64_t addr, bool deallocate)
 }
 
 VmEntry *
-VmMap::find(const std::string &name)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    for (VmEntry &e : entries_)
-        if (e.name == name)
-            return &e;
-    return nullptr;
-}
-
-VmEntry *
 VmMap::findByAddr(std::uint64_t addr)
 {
     std::lock_guard<std::mutex> lk(mu_);
@@ -519,10 +567,8 @@ VmMap::findByAddr(std::uint64_t addr)
 VmEntry *
 VmMap::findByAddrLocked(std::uint64_t addr)
 {
-    for (VmEntry &e : entries_)
-        if (e.contains(addr))
-            return &e;
-    return nullptr;
+    auto it = findEntry(entries_, addr);
+    return it == entries_.end() ? nullptr : &*it;
 }
 
 std::size_t
@@ -563,7 +609,7 @@ dumpVm(Kernel &kernel)
            << p.mem().privatePages() << " private)\n";
         for (const VmEntry &e : p.mem().entriesSnapshot()) {
             os << "  " << std::hex << e.base << std::dec << " +" << e.pages
-               << "p " << e.name << " prot="
+               << "p " << e.name.view() << " prot="
                << (e.prot & VM_PROT_READ ? "r" : "-")
                << (e.prot & VM_PROT_WRITE ? "w" : "-")
                << (e.cow ? " cow" : "") << (e.shared ? " shared" : "");

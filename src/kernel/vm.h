@@ -11,16 +11,18 @@
  *  - VmObject: a refcounted backing store with page-granularity
  *    residency (how many pages have established content) and the
  *    content bytes themselves, lazily extended;
- *  - VmEntry: one mapped range of a task — protection, a COW flag,
- *    and a shared-submap flag (the dyld shared-cache region);
+ *  - VmEntry: one mapped range of a task — an interned name,
+ *    protection, a COW flag, and a shared-submap flag (the dyld
+ *    shared-cache region). An image mapping (addMapping) has no
+ *    backing object until something needs one (DESIGN.md §13);
  *  - VmMap: a task's entry list. fork() aliases entries copy-on-write
  *    instead of copying page contents eagerly; the first write to a
  *    COW page takes a fault, charged on the writer's CostClock
  *    (profile pageFaultNs + one page of stream-copy cost);
  *  - VmSubsystem: system-wide state — cost tables, counters for
- *    /proc/cider/vm, and the shared-region registry (one VmObject per
- *    system for the dyld shared cache, mapped per process as a shared
- *    submap entry).
+ *    /proc/cider/vm, the entry-name table, and the shared-region
+ *    registry (one VmObject per system for the dyld shared cache,
+ *    mapped per process as a shared submap entry).
  *
  * Mach OOL descriptors ride this layer too: copyin snapshots a mapped
  * region into a VmObject reference (zero-copy when no pages were
@@ -28,8 +30,8 @@
  * the receiver maps it back COW (xnu/mach_ipc.cc).
  *
  * Determinism: every charge flows through the calling simulated
- * thread's CostClock; subsystem counters sit behind their own mutex
- * (SMP epoch-merge safe). The COW break is a SchedRail yield point
+ * thread's CostClock; subsystem counters are host-only relaxed
+ * atomics (SMP epoch-merge safe). The COW break is a SchedRail yield point
  * ("vm.fault") taken with no VmMap lock held, so armed schedules can
  * interleave writers against in-flight OOL sends. FaultRail sites:
  * "vm.allocate" (allocation shortfall) and "vm.fault" (a COW break
@@ -39,12 +41,17 @@
 #ifndef CIDER_KERNEL_VM_H
 #define CIDER_KERNEL_VM_H
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "base/bytes.h"
@@ -94,7 +101,6 @@ std::uint64_t vmLiveObjects();
 struct VmObject
 {
     VmLiveTally liveTally;
-    std::string name;
     std::uint64_t pages = 0;
     std::uint64_t resident = 0;
     /** System-wide shared region (dyld shared cache): mapped as a
@@ -114,13 +120,50 @@ struct VmObject
 
 using VmObjectPtr = std::shared_ptr<VmObject>;
 
+/**
+ * The name of a VmEntry: a view of characters that outlive every map
+ * that can hold the entry. It is made only from a string literal
+ * (static storage) or by VmSubsystem::intern (the subsystem's table,
+ * kept for its whole lifetime), so a name that could dangle does not
+ * compile. Copying one copies a pointer and a length.
+ */
+class VmName
+{
+  public:
+    constexpr VmName() = default;
+
+    template <std::size_t N>
+    consteval VmName(const char (&literal)[N]) : s_(literal, N - 1)
+    {}
+
+    std::string_view view() const { return s_; }
+    operator std::string_view() const { return s_; }
+
+    friend bool
+    operator==(VmName a, VmName b)
+    {
+        return a.s_ == b.s_;
+    }
+
+  private:
+    friend class VmSubsystem;
+    explicit VmName(std::string_view interned) : s_(interned) {}
+
+    std::string_view s_;
+};
+
 /** One mapped range of a task's address space. */
 struct VmEntry
 {
-    std::string name;
+    VmName name;
     std::uint64_t base = 0;  ///< start address (page aligned)
     std::uint64_t pages = 0; ///< mapped size
-    VmObjectPtr object;      ///< backing store
+    /**
+     * Backing store. Null for an image mapping (addMapping) until a
+     * non-COW write, an OOL snapshot or the eager-fork oracle needs
+     * one: until then all its pages are resident and read as zeros.
+     */
+    VmObjectPtr object;
     std::uint8_t prot = VM_PROT_RW;
     /** Writes must break to a private shadow page first. */
     bool cow = false;
@@ -159,9 +202,9 @@ struct VmStats
 
 /**
  * System-wide VM state: the device profile's memory cost table, the
- * shared-region registry, and the counters. One per kernel; MachIpc
- * instances constructed standalone (unit tests) fall back to a
- * private instance over the Nexus 7 profile.
+ * shared-region registry, the entry-name table and the counters. One
+ * per kernel; MachIpc instances constructed standalone (unit tests)
+ * fall back to a private instance over the Nexus 7 profile.
  */
 class VmSubsystem
 {
@@ -175,11 +218,10 @@ class VmSubsystem
     const hw::DeviceProfile &profile() const { return *profile_; }
 
     /** New backing store (bumps the object counter). */
-    VmObjectPtr makeObject(std::string name, std::uint64_t pages,
-                           std::uint64_t resident = 0);
+    VmObjectPtr makeObject(std::uint64_t pages, std::uint64_t resident = 0);
 
     /** Wrap a payload into a fresh object without copying it. */
-    VmObjectPtr wrapBytes(std::string name, Bytes &&payload);
+    VmObjectPtr wrapBytes(Bytes &&payload);
 
     /**
      * The system-wide shared region named @p name, created on first
@@ -187,7 +229,15 @@ class VmSubsystem
      * object regardless of @p pages) — the dyld shared cache is
      * mapped once per system, not once per process.
      */
-    VmObjectPtr sharedRegion(const std::string &name, std::uint64_t pages);
+    VmObjectPtr sharedRegion(std::string_view name, std::uint64_t pages);
+
+    /**
+     * The entry name @p name, copied into this subsystem's table the
+     * first time it is seen and kept for the subsystem's lifetime
+     * (the table is bounded by the distinct names a kernel maps).
+     * Every handle for one name views the same characters.
+     */
+    VmName intern(std::string_view name);
 
     /// @{ Cost helpers (virtual ns).
     /** Streaming copy of one page. */
@@ -196,7 +246,10 @@ class VmSubsystem
     std::uint64_t cowFaultNs() const;
     /// @}
 
-    /// @{ Counter updates (each takes the stats lock).
+    /// @{ Counter updates (relaxed atomics, no lock).
+    /** Count one object: made here, or stood for by an image mapping
+     *  (addMapping makes none until one is needed). */
+    void noteObjectCreated();
     void noteCowFault(std::uint64_t pages_broken);
     void noteFork(bool eager);
     void noteOolZeroCopy();
@@ -206,17 +259,47 @@ class VmSubsystem
     VmStats statsSnapshot() const;
 
   private:
+    /** VmStats as relaxed atomics: host-side tallies that order
+     *  nothing, read field by field by statsSnapshot(). */
+    struct Counters
+    {
+        std::atomic<std::uint64_t> objectsCreated{0};
+        std::atomic<std::uint64_t> cowFaults{0};
+        std::atomic<std::uint64_t> brokenPages{0};
+        std::atomic<std::uint64_t> sharedRegionPages{0};
+        std::atomic<std::uint64_t> cowForks{0};
+        std::atomic<std::uint64_t> eagerForks{0};
+        std::atomic<std::uint64_t> oolZeroCopySends{0};
+        std::atomic<std::uint64_t> oolPromotedBodies{0};
+        std::atomic<std::uint64_t> inlineBodies{0};
+    };
+
+    /** Transparent hash: intern() looks a view up without a copy. */
+    struct NameHash
+    {
+        using is_transparent = void;
+        std::size_t
+        operator()(std::string_view s) const
+        {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+
     const hw::DeviceProfile *profile_;
-    mutable std::mutex mu_;
-    VmStats stats_;
-    std::map<std::string, VmObjectPtr> sharedRegions_;
+    Counters counters_;
+    /** Guards sharedRegions_ and names_ only. */
+    std::mutex mu_;
+    std::map<std::string, VmObjectPtr, std::less<>> sharedRegions_;
+    /** Interned entry names; nodes never move, so views stay valid. */
+    std::unordered_set<std::string, NameHash, std::equal_to<>> names_;
 };
 
 /**
- * A task's address space: the ordered entry list plus a bump address
- * allocator. Replaces the old AddressSpace struct; the legacy
- * accounting surface (pages / privatePages / addMapping / hasMapping
- * / reset) is preserved so loaders and dyld keep their call sites.
+ * A task's address space: the entry list, sorted by base address,
+ * plus a bump address allocator. Replaces the old AddressSpace
+ * struct; the legacy accounting surface (pages / privatePages /
+ * addMapping / hasMapping / reset) is preserved so loaders and dyld
+ * keep their call sites.
  *
  * Unbound maps (bare unit-test values) use a process-wide fallback
  * subsystem; Kernel::createProcess binds every process map to the
@@ -237,9 +320,15 @@ class VmMap
     std::uint64_t pages() const;
     /** Pages the fork protect sweep must touch (non-shared). */
     std::uint64_t privatePages() const;
-    void addMapping(const std::string &name, std::uint64_t pages,
-                    bool shared = false);
-    bool hasMapping(const std::string &name) const;
+    /**
+     * Map an image of @p pages pages, all resident and holding no
+     * bytes, with no backing object until one is needed (see
+     * VmEntry::object). Charges nothing: loaders charge their own
+     * link/IO costs. @return the base address of the new entry.
+     */
+    std::uint64_t addMapping(VmName name, std::uint64_t pages,
+                             bool shared = false);
+    bool hasMapping(std::string_view name) const;
     void reset();
     /// @}
 
@@ -248,7 +337,7 @@ class VmMap
      * Map @p object at a fresh base address.
      * @return the base address of the new entry.
      */
-    std::uint64_t mapObject(const std::string &name, VmObjectPtr object,
+    std::uint64_t mapObject(VmName name, VmObjectPtr object,
                             std::uint8_t prot, bool cow, bool shared);
 
     /**
@@ -256,7 +345,7 @@ class VmMap
      * setup cost; FaultRail site "vm.allocate".
      * @return base address, or 0 on (injected) shortage.
      */
-    std::uint64_t allocate(const std::string &name, std::uint64_t pages);
+    std::uint64_t allocate(VmName name, std::uint64_t pages);
 
     /** vm_deallocate: unmap the entry containing @p addr. */
     bool deallocate(std::uint64_t addr);
@@ -304,7 +393,6 @@ class VmMap
     VmObjectPtr snapshotForSend(std::uint64_t addr, bool deallocate);
 
     /// @{ Introspection.
-    VmEntry *find(const std::string &name);
     VmEntry *findByAddr(std::uint64_t addr);
     std::size_t entryCount() const;
     /** Copy of the entry table (for /proc/cider/vm and tests). */
@@ -313,6 +401,13 @@ class VmMap
 
   private:
     VmEntry *findByAddrLocked(std::uint64_t addr);
+    /** Append an entry at the next base; requires mu_ held. */
+    std::uint64_t insertLocked(VmName name, std::uint64_t pages,
+                               VmObjectPtr object, std::uint8_t prot,
+                               bool cow, bool shared);
+    /** @p e's backing object, made (uncounted, @p e's pages resident,
+     *  no bytes) if it has none yet; requires mu_ held. */
+    VmObject &backingLocked(VmEntry &e);
     /** Break one COW page into the shadow; requires mu_ held. */
     void breakPageLocked(VmEntry &e, std::uint64_t page);
 

@@ -820,7 +820,7 @@ MachIpc::msgSend(IpcSpace &space, MachMessage &&msg,
     KMsg kmsg;
     kmsg.msgId = msg.header.msgId;
     if (promote) {
-        kmsg.bodyObject = vm().wrapBytes("mach.body", std::move(msg.body));
+        kmsg.bodyObject = vm().wrapBytes(std::move(msg.body));
         vm().noteBodySend(/*promoted=*/true);
     } else {
         kmsg.body = std::move(msg.body);
@@ -850,7 +850,7 @@ MachIpc::msgSend(IpcSpace &space, MachMessage &&msg,
         if (!ool.object && !ool.data.empty()) {
             // Raw payload: wrap the bytes into an object (a move, not
             // a copy) so the reference rides the ring.
-            ool.object = vm().wrapBytes("mach.ool", std::move(ool.data));
+            ool.object = vm().wrapBytes(std::move(ool.data));
             ool.data.clear();
         }
         ool_bytes += ool.size();

@@ -302,6 +302,73 @@ TEST(DyldPlan, RegistryChangeRebuildsThePlan)
     EXPECT_GT(after.mainNs, before.mainNs);
 }
 
+TEST(DyldPlan, RebuiltPlanLeavesLiveProcessesTheirNames)
+{
+    SystemOptions opts;
+    opts.config = SystemConfig::CiderIos;
+    CiderSystem sys(opts);
+    sys.installMachOExecutable("/data/live", "live.main",
+                               [](binfmt::UserEnv &) { return 0; });
+    kernel::Kernel &k = sys.kernel();
+
+    // Exec and run to main, leaving the process alive.
+    auto launch = [&k] {
+        kernel::Process &proc =
+            k.createProcess("live", kernel::Persona::Android);
+        kernel::Thread &t = proc.mainThread();
+        kernel::ThreadScope scope(t);
+        EXPECT_TRUE(k.execLoad(t, "/data/live", {"/data/live"}).ok());
+        proc.image().entry(t);
+        return &proc;
+    };
+    auto dylibNames = [](kernel::Process &proc) {
+        std::vector<std::string_view> names;
+        for (const kernel::VmEntry &e : proc.mem().entriesSnapshot())
+            if (e.name.view().rfind("dylib:", 0) == 0)
+                names.push_back(e.name);
+        return names;
+    };
+
+    kernel::Process *first = launch();
+    std::vector<std::string> before;
+    for (std::string_view name : dylibNames(*first))
+        before.emplace_back(name);
+    ASSERT_GT(before.size(), 100u);
+
+    // A registry change drops the plan the first launch replayed; the
+    // next launch builds a new one and the old plan is freed.
+    binfmt::LibraryImage extra;
+    extra.name = "Extra.dylib";
+    extra.pages = 5;
+    sys.iosLibraries().add(extra);
+    kernel::Process *second = launch();
+
+    // The first process still reads its names (under ASan, a name
+    // viewing the freed plan would be a use after free), and both
+    // plans interned each name once: the views share characters.
+    std::vector<std::string_view> names = dylibNames(*first);
+    ASSERT_EQ(names.size(), before.size());
+    for (std::size_t i = 0; i < names.size(); ++i)
+        EXPECT_EQ(names[i], before[i]);
+    EXPECT_EQ(dylibNames(*second), names);
+    EXPECT_EQ(dylibNames(*second)[0].data(), names[0].data());
+    EXPECT_NE(kernel::dumpVm(k).find("dylib:UIKit.dylib"),
+              std::string::npos);
+
+    for (kernel::Process *proc : {first, second}) {
+        const kernel::Pid pid = proc->pid();
+        {
+            kernel::Thread &t = proc->mainThread();
+            kernel::ThreadScope scope(t);
+            try {
+                k.sysExit(t, 0);
+            } catch (const kernel::ProcessExit &) {
+            }
+        }
+        EXPECT_TRUE(k.reapProcess(pid));
+    }
+}
+
 TEST(DyldPlan, ConcurrentLaunchesSeeOneClosure)
 {
     SystemOptions opts;

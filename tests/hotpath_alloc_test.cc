@@ -12,7 +12,9 @@
  *    receiver-to-sender — the KMsg ring slots absorb the traffic;
  *  - cached VFS lookups — the dentry cache returns by value but the
  *    Lookup's leaf stays inside the small-string buffer;
- *  - zalloc alloc/free inside the free-listed working set.
+ *  - zalloc alloc/free inside the free-listed working set;
+ *  - mapping, COW-forking and destroying a launch's dylib images:
+ *    only the entry vectors allocate, nothing per image.
  *
  * Run under ASan these tests double as lifetime checks on the
  * recycled buffers.
@@ -22,11 +24,15 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "ducttape/xnu_api.h"
 #include "hw/device_profile.h"
 #include "kernel/vfs.h"
+#include "kernel/vm.h"
 #include "xnu/mach_ipc.h"
 
 namespace {
@@ -169,6 +175,50 @@ TEST(HotPathAlloc, ZallocInsideWorkingSetIsHeapFree)
     });
     EXPECT_EQ(allocs, 0u) << "free-listed zalloc touched the heap";
     ducttape::zdestroy(zone);
+}
+
+TEST(HotPathAlloc, ImageMapForkAndTeardownAllocateNothingPerImage)
+{
+    // One iOS launch's worth of dylib mappings, names interned up
+    // front as dyld's launch plan interns them.
+    constexpr int kImages = 115;
+    kernel::VmSubsystem vm;
+    std::vector<kernel::VmName> names;
+    for (int i = 0; i < kImages; ++i)
+        names.push_back(
+            vm.intern("dylib:Image" + std::to_string(i) + ".dylib"));
+
+    // Map, COW-fork and destroy both maps.
+    auto launch = [&] {
+        auto parent = std::make_unique<kernel::VmMap>();
+        parent->bind(&vm);
+        for (kernel::VmName name : names)
+            parent->addMapping(name, 190);
+        auto child = std::make_unique<kernel::VmMap>();
+        child->forkFrom(*parent, /*eager=*/false);
+        child.reset();
+        parent.reset();
+    };
+    // Per launch: two maps, the parent's entry vector growing by
+    // doubling to 128 slots (8 blocks), the child's reserved once.
+    std::uint64_t allocs = allocsDuring(launch);
+    EXPECT_LE(allocs, 2u + 8u + 1u)
+        << "an image mapping, its fork or its teardown touched the heap";
+
+    // An exec reuses its map: the parent's vector is already sized,
+    // so only the child's reserve remains.
+    kernel::VmMap parent;
+    parent.bind(&vm);
+    auto exec = [&] {
+        parent.reset();
+        for (kernel::VmName name : names)
+            parent.addMapping(name, 190);
+        kernel::VmMap child;
+        child.forkFrom(parent, /*eager=*/false);
+    };
+    exec();
+    EXPECT_EQ(allocsDuring(exec), 1u);
+    EXPECT_EQ(vm.statsSnapshot().objectsCreated, 3u * kImages);
 }
 
 } // namespace

@@ -93,6 +93,23 @@ TEST_F(ProcessTest, WaitpidMergesChildVirtualTime)
     EXPECT_GE(thread_->clock().now(), before + 900000);
 }
 
+TEST_F(ProcessTest, WaitpidReapsTheChild)
+{
+    SyscallResult r = kernel_.sysFork(*thread_, [](Thread &) { return 4; });
+    ASSERT_TRUE(r.ok());
+    const auto pid = static_cast<Pid>(r.value);
+    ASSERT_NE(kernel_.findProcess(pid), nullptr);
+    std::size_t before = kernel_.processCount();
+    int status = -1;
+    ASSERT_TRUE(kernel_.sysWaitpid(*thread_, pid, &status).ok());
+    EXPECT_EQ(status, 4);
+    // The table entry, Process and address space went with the wait.
+    EXPECT_EQ(kernel_.findProcess(pid), nullptr);
+    EXPECT_EQ(kernel_.processCount(), before - 1);
+    EXPECT_FALSE(kernel_.reapProcess(pid));
+    EXPECT_EQ(kernel_.sysWaitpid(*thread_, pid, &status).err, lnx::CHILD);
+}
+
 TEST_F(ProcessTest, WaitpidForNonChildIsEchild)
 {
     Process &other = kernel_.createProcess("stranger");

@@ -112,6 +112,59 @@ TEST(PerCpuSmpTest, WorkStealingDrainsAPinnedShard)
     EXPECT_EQ(epoch.mergedNs, kJobs * 100u);
 }
 
+/** The /proc/cider/percpu text of @p k. */
+std::string
+percpuText(Kernel &k)
+{
+    Thread &reader = k.createProcess("reader").mainThread();
+    SyscallResult r = k.sysOpen(reader, "/proc/cider/percpu", oflag::RDONLY);
+    Bytes buf;
+    if (r.ok())
+        k.sysRead(reader, static_cast<Fd>(r.value), buf, 4096);
+    return std::string(buf.begin(), buf.end());
+}
+
+TEST(PerCpuSmpTest, OneHostThreadStealsNothing)
+{
+    // Six round-robin jobs over four CPUs on one host thread: it takes
+    // jobs from every CPU, but no other worker owns any of them.
+    Kernel k(hw::DeviceProfile::nexus7());
+    ASSERT_EQ(k.percpu().count(), 4u);
+    ExecutorPool pool(k.percpu(), 1);
+    for (int i = 0; i < 6; ++i)
+        pool.submit([] { return std::uint64_t{10}; });
+    SmpEpoch epoch = pool.runAll();
+    EXPECT_EQ(epoch.jobs, 6u);
+    EXPECT_EQ(epoch.steals, 0u);
+    std::string text = percpuText(k);
+    for (const char *cpu : {"cpu0 ", "cpu1 ", "cpu2 ", "cpu3 "}) {
+        std::size_t at = text.find(cpu);
+        ASSERT_NE(at, std::string::npos) << text;
+        std::string line = text.substr(at, text.find('\n', at) - at);
+        EXPECT_NE(line.find("stolen 0"), std::string::npos) << line;
+    }
+    EXPECT_NE(text.find("cpu1  epoch 20 ns  trap-merges 0  jobs 2  "
+                        "stolen 0\n"),
+              std::string::npos)
+        << text;
+}
+
+TEST(PerCpuSmpTest, CpusWithoutAnOwningWorkerAreNeverStolen)
+{
+    // Two host threads over four CPUs: workers 0 and 1 own cpu0 and
+    // cpu1; jobs on cpu2 and cpu3 belong to no worker, so whoever
+    // takes them steals nothing.
+    Kernel k(hw::DeviceProfile::nexus7());
+    ExecutorPool pool(k.percpu(), 2);
+    for (int i = 0; i < 16; ++i)
+        pool.submitOn(2 + i % 2, [] { return std::uint64_t{5}; });
+    SmpEpoch epoch = pool.runAll();
+    EXPECT_EQ(epoch.jobs, 16u);
+    EXPECT_EQ(epoch.steals, 0u);
+    EXPECT_EQ(k.percpu().slot(2).jobsStolen.load(), 0u);
+    EXPECT_EQ(k.percpu().slot(3).jobsStolen.load(), 0u);
+}
+
 TEST(PerCpuSmpTest, ArmedRailCollapsesToSubmitOrder)
 {
     SchedRail &rail = SchedRail::global();

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <vector>
 
 #include "base/logging.h"
 #include "core/cider_system.h"
@@ -298,6 +299,40 @@ TEST(SystemIntegration, RunProgramReapsWhatItRuns)
     sys.runInProcess("probe", kernel::Persona::Ios,
                      [](binfmt::UserEnv &) { return 0; });
     EXPECT_EQ(sys.kernel().processCount(), before);
+}
+
+TEST(SystemIntegration, WaitedChildrenLeaveNoProcessBehind)
+{
+    // An iOS app that forks one child and wait4s it, run three times:
+    // each wait reaps its child, address space and all.
+    SystemOptions opts;
+    opts.config = SystemConfig::CiderIos;
+    CiderSystem sys(opts);
+    kernel::Kernel &k = sys.kernel();
+    std::vector<int> children;
+    sys.installMachOExecutable(
+        "/data/forkwait", "forkwait.main",
+        [&](binfmt::UserEnv &env) {
+            ios::LibSystem libc(env);
+            int pid = libc.fork([](kernel::Thread &) { return 0; });
+            int status = -1;
+            if (libc.wait4(pid, &status) != pid || status != 0)
+                return 1;
+            children.push_back(pid);
+            return k.findProcess(pid) ? 2 : 0;
+        });
+
+    std::size_t before = k.processCount();
+    for (int i = 0; i < 3; ++i)
+        ASSERT_EQ(sys.runProgram("/data/forkwait"), 0);
+    EXPECT_EQ(k.processCount(), before);
+    std::uint64_t pages = 0;
+    k.forEachProcess(
+        [&pages](kernel::Process &p) { pages += p.mem().pages(); });
+    EXPECT_EQ(pages, 0u);
+    ASSERT_EQ(children.size(), 3u);
+    for (int pid : children)
+        EXPECT_FALSE(k.reapProcess(pid)); // the wait released it
 }
 
 TEST(SystemIntegration, IosAppsSeeOverlaidFilesystem)

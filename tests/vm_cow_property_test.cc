@@ -7,6 +7,9 @@
  * every fork deep-copies the parent's memory, every OOL transfer
  * deep-copies the payload. The real side runs the CiderVM COW
  * machinery (entry aliasing, shadow objects, snapshot composition).
+ * Image mappings (addMapping, which makes no backing object until one
+ * is needed) sit next to allocated regions and go through the same
+ * COW and non-COW writes, reads, forks, OOL snapshots and eager forks.
  * After every operation the two must agree byte-for-byte, and the
  * storm's virtual-time total must be bit-identical when the same seed
  * is replayed.
@@ -18,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "base/cost_clock.h"
@@ -35,6 +39,18 @@ struct ModelProc
     std::unique_ptr<VmMap> real = std::make_unique<VmMap>();
     /** base -> full region contents (pages * kVmPageBytes bytes). */
     std::map<std::uint64_t, Bytes> ref;
+    /** Bases of the regions that are image mappings. */
+    std::set<std::uint64_t> images;
+};
+
+/** How often the storm drove each image-mapping path. */
+struct ImageHits
+{
+    std::uint64_t cowWrites = 0;
+    std::uint64_t plainWrites = 0;
+    std::uint64_t reads = 0;
+    std::uint64_t oolKept = 0;
+    std::uint64_t oolMoved = 0;
 };
 
 struct Storm
@@ -44,6 +60,10 @@ struct Storm
     {
         procs.push_back(std::make_unique<ModelProc>());
         procs.back()->real->bind(&vm);
+        // Start with images mapped, so forks alias them from the
+        // first operation on.
+        for (int i = 0; i < 3; ++i)
+            opMapImage();
     }
 
     std::uint64_t
@@ -75,9 +95,22 @@ struct Storm
         ModelProc &p = anyProc();
         std::uint64_t pages = 1 + pick(3);
         std::uint64_t base =
-            p.real->allocate("anon" + std::to_string(serial++), pages);
+            p.real->allocate(vm.intern("anon" + std::to_string(serial++)),
+                            pages);
         ASSERT_NE(base, 0u);
         p.ref[base] = Bytes(pages * kVmPageBytes, 0);
+    }
+
+    /** An image mapping: all pages resident, reading as zeros. */
+    void
+    opMapImage()
+    {
+        ModelProc &p = anyProc();
+        std::uint64_t pages = 1 + pick(4);
+        std::uint64_t base = p.real->addMapping(
+            vm.intern("dylib:img" + std::to_string(serial++)), pages);
+        p.ref[base] = Bytes(pages * kVmPageBytes, 0);
+        p.images.insert(base);
     }
 
     void
@@ -87,6 +120,9 @@ struct Storm
         auto [base, size] = anyRegion(p);
         if (!size)
             return opAllocate();
+        if (p.images.count(base))
+            ++(p.real->findByAddr(base)->cow ? hits.cowWrites
+                                              : hits.plainWrites);
         std::uint64_t off = pick(size);
         std::uint64_t len =
             1 + pick(std::min<std::uint64_t>(size - off, 300));
@@ -110,6 +146,7 @@ struct Storm
             1 + pick(std::min<std::uint64_t>(size - off, 300));
         Bytes got;
         ASSERT_EQ(p.real->read(base + off, len, &got), 0);
+        hits.reads += p.images.count(base);
         Bytes want(p.ref[base].begin() + static_cast<std::ptrdiff_t>(off),
                    p.ref[base].begin() +
                        static_cast<std::ptrdiff_t>(off + len));
@@ -127,6 +164,7 @@ struct Storm
         child->real->bind(&vm);
         child->real->forkFrom(*parent.real, eager);
         child->ref = parent.ref; // the oracle forks eagerly, always
+        child->images = parent.images;
         procs.push_back(std::move(child));
     }
 
@@ -142,11 +180,15 @@ struct Storm
 
         VmObjectPtr snap = src.real->snapshotForSend(base, dealloc);
         ASSERT_TRUE(snap);
+        if (src.images.count(base))
+            ++(dealloc ? hits.oolMoved : hits.oolKept);
         Bytes content = src.ref[base];
-        if (dealloc)
+        if (dealloc) {
             src.ref.erase(base);
+            src.images.erase(base);
+        }
         std::uint64_t landed = dst.real->mapObject(
-            "ool" + std::to_string(serial++), snap, VM_PROT_RW,
+            vm.intern("ool" + std::to_string(serial++)), snap, VM_PROT_RW,
             /*cow=*/true, /*shared=*/false);
         dst.ref[landed] = std::move(content);
     }
@@ -160,25 +202,28 @@ struct Storm
             return;
         ASSERT_TRUE(p.real->deallocate(base));
         p.ref.erase(base);
+        p.images.erase(base);
     }
 
     void
     step()
     {
-        switch (pick(10)) {
+        switch (pick(11)) {
         case 0:
             return opAllocate();
         case 1:
+            return opMapImage();
         case 2:
         case 3:
-            return opWrite();
         case 4:
+            return opWrite();
         case 5:
-            return opReadCheck();
         case 6:
-            return opFork();
+            return opReadCheck();
         case 7:
+            return opFork();
         case 8:
+        case 9:
             return opOolTransfer();
         default:
             return opDeallocate();
@@ -220,6 +265,7 @@ struct Storm
     bool eager;
     std::uint64_t serial = 0;
     std::vector<std::unique_ptr<ModelProc>> procs;
+    ImageHits hits;
 };
 
 struct StormResult
@@ -227,6 +273,7 @@ struct StormResult
     std::uint64_t virtualNs = 0;
     std::vector<Bytes> digest;
     VmStats stats;
+    ImageHits hits;
 };
 
 StormResult
@@ -246,30 +293,54 @@ runStorm(std::uint64_t seed, bool eager)
     storm.verifyAll();
     out.digest = storm.digest();
     out.stats = storm.vm.statsSnapshot();
+    out.hits = storm.hits;
     return out;
+}
+
+/** Every image-mapping path was driven at least once over @p runs. */
+void
+expectImagePathsCovered(const std::vector<StormResult> &runs)
+{
+    ImageHits sum;
+    for (const StormResult &r : runs) {
+        sum.cowWrites += r.hits.cowWrites;
+        sum.plainWrites += r.hits.plainWrites;
+        sum.reads += r.hits.reads;
+        sum.oolKept += r.hits.oolKept;
+        sum.oolMoved += r.hits.oolMoved;
+    }
+    EXPECT_GT(sum.cowWrites, 0u);
+    EXPECT_GT(sum.plainWrites, 0u);
+    EXPECT_GT(sum.reads, 0u);
+    EXPECT_GT(sum.oolKept, 0u);
+    EXPECT_GT(sum.oolMoved, 0u);
 }
 
 TEST(VmCowPropertyTest, CowStormMatchesEagerOracle)
 {
+    std::vector<StormResult> runs;
     for (std::uint64_t seed : {11u, 22u, 33u, 44u, 55u, 66u, 77u, 88u}) {
-        StormResult r = runStorm(seed, /*eager=*/false);
+        runs.push_back(runStorm(seed, /*eager=*/false));
         ASSERT_FALSE(::testing::Test::HasFatalFailure())
             << "seed " << seed;
         // The storm mix actually exercised the COW machinery.
-        EXPECT_GT(r.stats.cowForks + r.stats.oolZeroCopySends, 0u)
-            << "seed " << seed;
+        const VmStats &s = runs.back().stats;
+        EXPECT_GT(s.cowForks + s.oolZeroCopySends, 0u) << "seed " << seed;
     }
+    expectImagePathsCovered(runs);
 }
 
 TEST(VmCowPropertyTest, EagerStormMatchesOracleToo)
 {
     // The A/B baseline obeys the same semantics (it IS the oracle's
-    // strategy); this pins the lever itself.
+    // strategy); this pins the lever itself, image mappings included.
+    std::vector<StormResult> runs;
     for (std::uint64_t seed : {11u, 99u}) {
-        runStorm(seed, /*eager=*/true);
+        runs.push_back(runStorm(seed, /*eager=*/true));
         ASSERT_FALSE(::testing::Test::HasFatalFailure())
             << "seed " << seed;
     }
+    expectImagePathsCovered(runs);
 }
 
 TEST(VmCowPropertyTest, VirtualTimeIsDeterministicAcrossRuns)

@@ -3,22 +3,30 @@
  * CiderVM tests: VmObject/VmMap units, COW fork cost and isolation,
  * the system-wide shared region, OOL snapshot dispositions (the
  * deallocate=false regression), Mach body auto-promotion, the VM
- * traps, /proc/cider/vm, and a SchedRail scenario interleaving a
- * writer against an in-flight OOL copyin.
+ * traps, /proc/cider/vm, a SchedRail scenario interleaving a writer
+ * against an in-flight OOL copyin, interned entry names, and a pinned
+ * end-to-end sequence over image mappings.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <type_traits>
+#include <vector>
 
 #include "base/cost_clock.h"
+#include "core/cider_system.h"
 #include "hw/device_profile.h"
+#include "ios/libsystem.h"
 #include "kernel/file.h"
 #include "kernel/kernel.h"
 #include "kernel/sched_rail.h"
 #include "kernel/vm.h"
 #include "persona/persona.h"
+#include "xnu/mach_ipc.h"
 #include "xnu/mach_traps.h"
 #include "xnu/psynch.h"
 
@@ -50,6 +58,84 @@ TEST(VmObjectTest, WriteExtendsDataAndResidency)
     Bytes out;
     obj.readAt(kVmPageBytes + 4, 4, &out);
     EXPECT_EQ(out, (Bytes{0, 9, 9, 0}));
+}
+
+// ---------------------------------------------------------------------------
+// VmName: only literals and interned names, never a view that could
+// dangle.
+
+static_assert(std::is_constructible_v<VmName, const char (&)[6]>);
+static_assert(!std::is_constructible_v<VmName, std::string>);
+static_assert(!std::is_constructible_v<VmName, std::string_view>);
+static_assert(!std::is_constructible_v<VmName, const char *>);
+
+TEST(VmNameTest, InternKeepsOneCopyPerName)
+{
+    VmSubsystem vm;
+    std::string a = "dylib:libSystem.dylib";
+    VmName first = vm.intern(a);
+    a.assign(a.size(), 'x'); // the caller's buffer may change or die
+    VmName again = vm.intern("dylib:libSystem.dylib");
+    EXPECT_EQ(first.view(), "dylib:libSystem.dylib");
+    EXPECT_EQ(first, again);
+    EXPECT_EQ(first.view().data(), again.view().data());
+    EXPECT_NE(vm.intern("dylib:UIKit.dylib"), first);
+    // A literal equals the interned name of the same text.
+    EXPECT_EQ(VmName("dylib:libSystem.dylib"), first);
+}
+
+TEST(VmNameTest, ConcurrentInternsAndMappingsShareEachName)
+{
+    // Four host threads intern overlapping windows of one name set
+    // and map each name into their own map, over and over.
+    constexpr int kThreads = 4;
+    constexpr int kNames = 48;
+    constexpr int kRounds = 10;
+    VmSubsystem vm;
+    std::vector<std::vector<VmName>> seen(kThreads,
+                                          std::vector<VmName>(kNames));
+    std::vector<int> changed(kThreads, 0);
+    std::vector<std::unique_ptr<VmMap>> maps;
+    for (int t = 0; t < kThreads; ++t) {
+        maps.push_back(std::make_unique<VmMap>());
+        maps.back()->bind(&vm);
+    }
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (int r = 0; r < kRounds; ++r)
+                for (int i = 0; i < kNames; ++i) {
+                    int n = (i + 12 * t) % kNames;
+                    VmName name = vm.intern("dylib:Lib" +
+                                            std::to_string(n) + ".dylib");
+                    if (r == 0)
+                        seen[t][n] = name;
+                    else if (name.view().data() != seen[t][n].view().data())
+                        ++changed[t];
+                    maps[t]->addMapping(name, 1 + n);
+                }
+        });
+    for (std::thread &th : threads)
+        th.join();
+
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(changed[t], 0) << "thread " << t;
+    for (int n = 0; n < kNames; ++n) {
+        std::string want = "dylib:Lib" + std::to_string(n) + ".dylib";
+        for (int t = 0; t < kThreads; ++t) {
+            EXPECT_EQ(seen[t][n].view(), want) << "thread " << t;
+            EXPECT_EQ(seen[t][n].view().data(), seen[0][n].view().data())
+                << "thread " << t << " name " << n;
+        }
+    }
+    for (int t = 0; t < kThreads; ++t) {
+        std::vector<VmEntry> entries = maps[t]->entriesSnapshot();
+        ASSERT_EQ(entries.size(), std::size_t{kRounds * kNames});
+        for (const VmEntry &e : entries)
+            EXPECT_EQ(e.name, seen[0][e.pages - 1]);
+    }
+    EXPECT_EQ(vm.statsSnapshot().objectsCreated,
+              std::uint64_t{kThreads * kRounds * kNames});
 }
 
 // ---------------------------------------------------------------------------
@@ -86,7 +172,7 @@ TEST_F(VmMapTest, AllocateWriteReadRoundTrip)
 
 TEST_F(VmMapTest, WriteRespectsProtection)
 {
-    VmObjectPtr obj = vm_.makeObject("ro", 1, 1);
+    VmObjectPtr obj = vm_.makeObject(1, 1);
     std::uint64_t addr =
         map_.mapObject("ro", obj, VM_PROT_READ, false, false);
     EXPECT_EQ(map_.write(addr, Bytes{1}), -1);
@@ -174,7 +260,7 @@ TEST_F(VmMapTest, SnapshotDeallocateTrueMovesTheMapping)
 {
     Bytes payload(kVmPageBytes, 0x5a);
     std::uint64_t addr = map_.mapObject(
-        "payload", vm_.wrapBytes("payload", Bytes(payload)), VM_PROT_RW,
+        "payload", vm_.wrapBytes(Bytes(payload)), VM_PROT_RW,
         false, false);
 
     VmObjectPtr snap = map_.snapshotForSend(addr, /*deallocate=*/true);
@@ -188,7 +274,7 @@ TEST_F(VmMapTest, SnapshotDeallocateFalseKeepsSenderMappingCow)
 {
     Bytes payload(64, 0x11);
     std::uint64_t addr = map_.mapObject(
-        "payload", vm_.wrapBytes("payload", Bytes(payload)), VM_PROT_RW,
+        "payload", vm_.wrapBytes(Bytes(payload)), VM_PROT_RW,
         false, false);
 
     VmObjectPtr snap = map_.snapshotForSend(addr, /*deallocate=*/false);
@@ -265,7 +351,7 @@ TEST_F(VmIpcTest, OolDeallocateTrueMovesRegionZeroCopy)
 {
     Bytes payload(2 * kVmPageBytes, 0xab);
     std::uint64_t addr = smap_.mapObject(
-        "region", vm_.wrapBytes("region", Bytes(payload)), VM_PROT_RW,
+        "region", vm_.wrapBytes(Bytes(payload)), VM_PROT_RW,
         false, false);
 
     xnu::MachMessage msg;
@@ -297,7 +383,7 @@ TEST_F(VmIpcTest, OolDeallocateFalseSenderKeepsMappingAndIsolation)
 {
     Bytes payload(256, 0x44);
     std::uint64_t addr = smap_.mapObject(
-        "region", vm_.wrapBytes("region", Bytes(payload)), VM_PROT_RW,
+        "region", vm_.wrapBytes(Bytes(payload)), VM_PROT_RW,
         false, false);
 
     xnu::MachMessage msg;
@@ -542,8 +628,7 @@ struct OolRaceScenario
     {
         map.bind(&vm);
         addr = map.mapObject("region",
-                             vm.wrapBytes("region",
-                                          Bytes(2 * kVmPageBytes, 0x41)),
+                             vm.wrapBytes(Bytes(2 * kVmPageBytes, 0x41)),
                              VM_PROT_RW, false, false);
     }
 
@@ -634,6 +719,196 @@ TEST_F(VmInterleavingTest, WriterVsInFlightOolScheduleIsPinnable)
     EXPECT_TRUE(rep.ok);
     EXPECT_EQ(rep.snapByte, rec.snapByte);
     EXPECT_EQ(rep.result.traceText(), rec.result.traceText());
+}
+
+
+// ---------------------------------------------------------------------------
+// A pinned end-to-end sequence: dyld launch, fork, COW and non-COW writes
+// into image pages, OOL sends of image mappings, the vm_* traps, exit and
+// reap, on one host thread with services off. The /proc/cider/vm and
+// /proc/cider/trapstats texts it leaves are a pure function of the
+// program. Their digests were recorded when every image mapping still
+// made its VmObject up front and a wait left the child in the process
+// table, so they pin both changes as unobservable.
+
+/** FNV-1a 64 of @p text. */
+std::uint64_t
+textDigest(const std::string &text)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+std::string
+procText(binfmt::UserEnv &env, const char *path)
+{
+    SyscallResult fd = env.kernel.sysOpen(env.thread, path, oflag::RDONLY);
+    if (!fd.ok())
+        return {};
+    Bytes out;
+    env.kernel.sysRead(env.thread, static_cast<Fd>(fd.value), out, 1 << 20);
+    env.kernel.sysClose(env.thread, static_cast<Fd>(fd.value));
+    return std::string(out.begin(), out.end());
+}
+
+/** Base address of the entry named @p name in the calling process. */
+std::uint64_t
+entryBase(binfmt::UserEnv &env, const std::string &name)
+{
+    for (const VmEntry &e : env.process().mem().entriesSnapshot())
+        if (std::string_view(e.name) == name)
+            return e.base;
+    return 0;
+}
+
+SyscallResult
+vmTrap(binfmt::UserEnv &env, int nr, SyscallArgs args)
+{
+    return env.kernel.trap(env.thread, TrapClass::XnuMach, nr,
+                           std::move(args));
+}
+
+struct GoldenTexts
+{
+    std::string vmForked;  ///< parent's view with the zombie child
+    std::string vmDone;    ///< parent's view before it exits
+    std::string vmReaped;  ///< after every process is reaped
+    std::string trapstats; ///< after every process is reaped
+    int rc = -1;
+};
+
+GoldenTexts
+runGoldenSequence()
+{
+    core::SystemOptions opts;
+    opts.config = core::SystemConfig::CiderIos;
+    core::CiderSystem sys(opts);
+    GoldenTexts out;
+    int child_pid = 0;
+    sys.installMachOExecutable(
+        "/data/golden", "golden.main", [&](binfmt::UserEnv &env) -> int {
+            ios::LibSystem libc(env);
+            const std::uint64_t a = entryBase(env, "dylib:libSystem.dylib");
+            const std::uint64_t b = entryBase(env, "dylib:Foundation.dylib");
+            const std::uint64_t c = entryBase(env, "dylib:UIKit.dylib");
+            const std::uint64_t d = entryBase(env, "dylib:QuartzCore.dylib");
+            if (!a || !b || !c || !d)
+                return 1;
+
+            // Non-COW write into an image page (before any fork).
+            Bytes poke{1, 2, 3, 4, 5};
+            const Bytes *src = &poke;
+            vmTrap(env, xnu::machno::VM_WRITE, makeArgs(a + 100, src));
+
+            // Fork: the child breaks one page COW, reads, and exits.
+            child_pid = libc.fork([&](Thread &ct) -> int {
+                binfmt::UserEnv cenv{env.kernel, ct, {}};
+                Bytes cpoke{9, 9};
+                const Bytes *csrc = &cpoke;
+                vmTrap(cenv, xnu::machno::VM_WRITE,
+                       makeArgs(b + kVmPageBytes + 7, csrc));
+                Bytes got;
+                vmTrap(cenv, xnu::machno::VM_READ,
+                       makeArgs(a + 98, std::uint64_t{10},
+                                static_cast<Bytes *>(&got)));
+                ios::LibSystem clibc(cenv);
+                clibc.exit(got == Bytes{0, 0, 1, 2, 3, 4, 5, 0, 0, 0} ? 0
+                                                                      : 3);
+            });
+            out.vmForked = procText(env, "/proc/cider/vm");
+            int status = -1;
+            libc.wait4(child_pid, &status);
+            if (status != 0)
+                return 2;
+            // The child is gone; a lingering table entry, where the
+            // wait left one, is released here.
+            env.kernel.reapProcess(child_pid);
+
+            // COW writes into image pages after the fork.
+            Bytes cow{7};
+            const Bytes *csrc = &cow;
+            vmTrap(env, xnu::machno::VM_WRITE, makeArgs(c + 5, csrc));
+            vmTrap(env, xnu::machno::VM_WRITE, makeArgs(a + 3, csrc));
+
+            // OOL sends of image mappings: one kept by the sender and
+            // mapped into the receiver by the trap, one moved out and
+            // received without a map.
+            xnu::MachIpc &ipc = sys.machIpc();
+            xnu::mach_port_name_t port =
+                libc.machPortAllocate(xnu::PortRight::Receive);
+            xnu::MachMessage m1;
+            m1.header.remotePort = port;
+            m1.header.remoteDisposition = xnu::MsgDisposition::MakeSend;
+            xnu::OolDescriptor kept;
+            ipc.makeOolFromRegion(env.process().mem(), b, false, &kept);
+            m1.ool.push_back(std::move(kept));
+            libc.machMsgSend(m1);
+            xnu::MachMessage r1;
+            libc.machMsgReceive(port, r1);
+            if (r1.ool.size() != 1 || r1.ool[0].address == 0)
+                return 4;
+            Bytes got;
+            vmTrap(env, xnu::machno::VM_READ,
+                   makeArgs(r1.ool[0].address + kVmPageBytes + 5,
+                            std::uint64_t{4}, static_cast<Bytes *>(&got)));
+            Bytes landed_poke{6};
+            const Bytes *lsrc = &landed_poke;
+            vmTrap(env, xnu::machno::VM_WRITE,
+                   makeArgs(r1.ool[0].address + 1, lsrc));
+
+            xnu::MachMessage m2;
+            m2.header.remotePort = port;
+            m2.header.remoteDisposition = xnu::MsgDisposition::MakeSend;
+            xnu::OolDescriptor moved;
+            ipc.makeOolFromRegion(env.process().mem(), d, true, &moved);
+            m2.ool.push_back(std::move(moved));
+            libc.machMsgSend(m2);
+            xnu::MachMessage r2;
+            xnu::MachTaskState &task = xnu::machTask(ipc, env.process());
+            ipc.msgReceive(*task.space, port, r2);
+
+            // vm_allocate / write / read / deallocate.
+            std::uint64_t anon = 0;
+            vmTrap(env, xnu::machno::VM_ALLOCATE,
+                   makeArgs(std::uint64_t{3 * kVmPageBytes},
+                            static_cast<void *>(&anon)));
+            vmTrap(env, xnu::machno::VM_WRITE,
+                   makeArgs(anon + kVmPageBytes, src));
+            vmTrap(env, xnu::machno::VM_READ,
+                   makeArgs(anon + kVmPageBytes, std::uint64_t{5},
+                            static_cast<Bytes *>(&got)));
+            vmTrap(env, xnu::machno::VM_DEALLOCATE, makeArgs(anon));
+            out.vmDone = procText(env, "/proc/cider/vm");
+            return got == poke ? 0 : 5;
+        });
+    sys.runProgramTimed("/data/golden", {}, &out.rc);
+    out.vmReaped = dumpVm(sys.kernel());
+    out.trapstats = sys.trapStats().dump();
+    return out;
+}
+
+TEST(VmGolden, FixedSequenceProcTextsArePinned)
+{
+    GoldenTexts t = runGoldenSequence();
+    ASSERT_EQ(t.rc, 0);
+    // The counters, verbatim.
+    EXPECT_EQ(t.vmReaped.substr(0, t.vmReaped.find("pid ")),
+              "vm objects_created=121 cow_faults=4 broken_pages=4 "
+              "shared_region_pages=0\n"
+              "   forks cow=1 eager=0\n"
+              "   ool zero_copy_sends=4 promoted_bodies=0 inline_bodies=0\n")
+        << t.vmReaped;
+    EXPECT_EQ(textDigest(t.vmForked), 13765883561855324934ull)
+        << t.vmForked;
+    EXPECT_EQ(textDigest(t.vmDone), 5364037397459660001ull) << t.vmDone;
+    EXPECT_EQ(textDigest(t.vmReaped), 9486500537953660749ull)
+        << t.vmReaped;
+    EXPECT_EQ(textDigest(t.trapstats), 2575994397049730877ull)
+        << t.trapstats;
 }
 
 } // namespace
