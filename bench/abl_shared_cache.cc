@@ -9,7 +9,7 @@
  */
 
 #include "bench/bench_util.h"
-#include "bench/posix_facade.h"
+#include "persona/libc.h"
 
 namespace cider::bench {
 namespace {
@@ -19,11 +19,11 @@ forkExitCost(CiderSystem &sys)
 {
     std::uint64_t ns = 0;
     installAndRun(sys, "sc_forkexit", [&](binfmt::UserEnv &env) {
-        Posix posix(env);
+        persona::Libc posix(env);
         ns = measureVirtual([&] {
             int pid = posix.fork([&env](kernel::Thread &child) -> int {
                 binfmt::UserEnv cenv{env.kernel, child, {}};
-                Posix cposix(cenv);
+                persona::Libc cposix(cenv);
                 cposix.exit(0);
             });
             int status;

@@ -11,7 +11,7 @@
  */
 
 #include "bench/bench_util.h"
-#include "bench/posix_facade.h"
+#include "persona/libc.h"
 
 namespace cider::bench {
 namespace {
@@ -19,7 +19,7 @@ namespace {
 constexpr int kIters = 300;
 
 std::uint64_t
-pipeLatency(Posix &posix)
+pipeLatency(persona::Libc &posix)
 {
     int fds[2];
     posix.pipe(fds);
@@ -34,7 +34,7 @@ pipeLatency(Posix &posix)
 }
 
 std::uint64_t
-unixLatency(Posix &posix)
+unixLatency(persona::Libc &posix)
 {
     int fds[2];
     posix.socketpair(fds);
@@ -50,7 +50,7 @@ unixLatency(Posix &posix)
 
 /** @return latency, or 0 when select() failed (iPad at 250 fds). */
 std::uint64_t
-selectLatency(Posix &posix, int nfds, bool *failed)
+selectLatency(persona::Libc &posix, int nfds, bool *failed)
 {
     std::vector<int> watch;
     for (int i = 0; i < (nfds + 1) / 2; ++i) {
@@ -74,7 +74,7 @@ selectLatency(Posix &posix, int nfds, bool *failed)
 }
 
 std::uint64_t
-fileCreateDelete(Posix &posix, std::size_t bytes)
+fileCreateDelete(persona::Libc &posix, std::size_t bytes)
 {
     Bytes payload(bytes, 0x77);
     return measureVirtual([&] {
@@ -109,7 +109,7 @@ main(int argc, char **argv)
         CiderSystem sys(opts);
 
         installAndRun(sys, "ipcfs", [&](binfmt::UserEnv &env) {
-            Posix posix(env);
+            persona::Libc posix(env);
             table.set("pipe", config,
                       static_cast<double>(pipeLatency(posix)) /
                           kIters);

@@ -15,7 +15,7 @@
  */
 
 #include "bench/bench_util.h"
-#include "bench/posix_facade.h"
+#include "persona/libc.h"
 
 namespace cider::bench {
 namespace {
@@ -37,12 +37,12 @@ provisionChildren(CiderSystem &sys)
             "/system/bin/sh", "sh.linux", [](binfmt::UserEnv &env) {
                 if (env.argv.size() < 2)
                     return 1;
-                Posix posix(env);
+                persona::Libc posix(env);
                 std::string target = env.argv[1];
                 int pid = posix.fork(
                     [&env, target](kernel::Thread &child) -> int {
                         binfmt::UserEnv cenv{env.kernel, child, {}};
-                        Posix cposix(cenv);
+                        persona::Libc cposix(cenv);
                         cposix.execve(target, {target});
                         return 127;
                     });
@@ -62,12 +62,12 @@ provisionChildren(CiderSystem &sys)
                 [](binfmt::UserEnv &env) {
                     if (env.argv.size() < 2)
                         return 1;
-                    Posix posix(env);
+                    persona::Libc posix(env);
                     std::string target = env.argv[1];
                     int pid = posix.fork(
                         [&env, target](kernel::Thread &child) -> int {
                             binfmt::UserEnv cenv{env.kernel, child, {}};
-                            Posix cposix(cenv);
+                            persona::Libc cposix(cenv);
                             cposix.execve(target, {target});
                             return 127;
                         });
@@ -85,11 +85,11 @@ forkExit(CiderSystem &sys)
 {
     std::uint64_t ns = 0;
     installAndRun(sys, "fork_exit", [&](binfmt::UserEnv &env) {
-        Posix posix(env);
+        persona::Libc posix(env);
         ns = measureVirtual([&] {
             int pid = posix.fork([&env](kernel::Thread &child) -> int {
                 binfmt::UserEnv cenv{env.kernel, child, {}};
-                Posix cposix(cenv);
+                persona::Libc cposix(cenv);
                 cposix.exit(0);
             });
             int status;
@@ -106,12 +106,12 @@ forkExec(CiderSystem &sys, const std::string &target)
 {
     std::uint64_t ns = 0;
     installAndRun(sys, "fork_exec", [&](binfmt::UserEnv &env) {
-        Posix posix(env);
+        persona::Libc posix(env);
         ns = measureVirtual([&] {
             int pid = posix.fork(
                 [&env, target](kernel::Thread &child) -> int {
                     binfmt::UserEnv cenv{env.kernel, child, {}};
-                    Posix cposix(cenv);
+                    persona::Libc cposix(cenv);
                     cposix.execve(target, {target});
                     return 127;
                 });
@@ -129,12 +129,12 @@ forkSh(CiderSystem &sys, const std::string &target)
 {
     std::uint64_t ns = 0;
     installAndRun(sys, "fork_sh", [&](binfmt::UserEnv &env) {
-        Posix posix(env);
+        persona::Libc posix(env);
         ns = measureVirtual([&] {
             int pid = posix.fork(
                 [&env, target](kernel::Thread &child) -> int {
                     binfmt::UserEnv cenv{env.kernel, child, {}};
-                    Posix cposix(cenv);
+                    persona::Libc cposix(cenv);
                     cposix.execve("/system/bin/sh",
                                   {"sh", target});
                     return 127;

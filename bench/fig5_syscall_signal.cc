@@ -11,24 +11,25 @@
  */
 
 #include "bench/bench_util.h"
-#include "bench/posix_facade.h"
+#include "persona/libc.h"
+#include "xnu/xnu_signals.h"
 
 namespace cider::bench {
 namespace {
 
 constexpr int kIters = 500;
 
-using Workload = std::function<void(Posix &, binfmt::UserEnv &)>;
+using Workload = std::function<void(persona::Libc &, binfmt::UserEnv &)>;
 
 void
-nullBody(Posix &posix, binfmt::UserEnv &)
+nullBody(persona::Libc &posix, binfmt::UserEnv &)
 {
     for (int i = 0; i < kIters; ++i)
         posix.nullSyscall();
 }
 
 void
-readBody(Posix &posix, binfmt::UserEnv &)
+readBody(persona::Libc &posix, binfmt::UserEnv &)
 {
     int fd = posix.open("/tmp/readfile", kernel::oflag::RDONLY);
     Bytes buf;
@@ -43,7 +44,7 @@ readBody(Posix &posix, binfmt::UserEnv &)
 }
 
 void
-writeBody(Posix &posix, binfmt::UserEnv &)
+writeBody(persona::Libc &posix, binfmt::UserEnv &)
 {
     int fd = posix.open("/tmp/writefile",
                         kernel::oflag::CREAT | kernel::oflag::RDWR);
@@ -54,7 +55,7 @@ writeBody(Posix &posix, binfmt::UserEnv &)
 }
 
 void
-openCloseBody(Posix &posix, binfmt::UserEnv &)
+openCloseBody(persona::Libc &posix, binfmt::UserEnv &)
 {
     for (int i = 0; i < kIters; ++i) {
         int fd = posix.open("/tmp/ocfile", kernel::oflag::RDONLY);
@@ -62,19 +63,28 @@ openCloseBody(Posix &posix, binfmt::UserEnv &)
     }
 }
 
+/** SIGUSR1 in the numbering of the calling thread's persona. */
+int
+sigUsr1(const binfmt::UserEnv &env)
+{
+    return env.thread.persona() == kernel::Persona::Ios
+               ? xnu::dsig::USR1
+               : kernel::lsig::USR1;
+}
+
 void
-signalBody(Posix &posix, binfmt::UserEnv &)
+signalBody(persona::Libc &posix, binfmt::UserEnv &env)
 {
     // lmbench's signal-handler benchmark: install a handler, deliver
     // to self, measure the round trip.
     volatile int hits = 0;
-    posix.sigaction(posix.sigUsr1(),
+    posix.sigaction(sigUsr1(env),
                     [&hits](int, const kernel::SigInfo &) {
                         hits = hits + 1;
                     });
     int self = posix.getpid();
     for (int i = 0; i < kIters; ++i)
-        posix.kill(self, posix.sigUsr1());
+        posix.kill(self, sigUsr1(env));
 }
 
 } // namespace
@@ -109,7 +119,7 @@ main(int argc, char **argv)
             std::uint64_t total_ns = 0;
             installAndRun(sys, "sys_" + name,
                           [&](binfmt::UserEnv &env) {
-                              Posix posix(env);
+                              persona::Libc posix(env);
                               sys.trapStats().reset();
                               total_ns = measureVirtual(
                                   [&] { body(posix, env); });

@@ -8,7 +8,7 @@
  */
 
 #include "bench/bench_util.h"
-#include "bench/posix_facade.h"
+#include "persona/libc.h"
 
 namespace cider::bench {
 namespace {
@@ -23,7 +23,7 @@ storageThroughput(CiderSystem &sys, bool write_test)
     std::uint64_t bytes = kChunk * kChunks;
     installAndRun(sys, write_test ? "st_write" : "st_read",
                   [&](binfmt::UserEnv &env) {
-                      Posix posix(env);
+                      persona::Libc posix(env);
                       if (write_test) {
                           int fd = posix.open(
                               "/data/storage.bin",

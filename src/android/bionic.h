@@ -2,106 +2,26 @@
  * @file
  * bionic: the domestic libc wrapper layer.
  *
- * Android (Linux) binaries reach the kernel through these wrappers,
- * which trap with Linux syscall numbers, follow the Linux calling
- * convention (negative-errno folded to -1 + errno in the bionic TLS
- * area), and keep the process's atexit/atfork registries.
+ * Android (Linux) binaries reach the kernel through these wrappers:
+ * persona::Libc built for the Android ABI, which traps with Linux
+ * syscall numbers, folds a negative errno into -1 + errno in the
+ * bionic TLS area, and keeps the process's atexit/atfork registries
+ * under "bionic.state".
  */
 
 #ifndef CIDER_ANDROID_BIONIC_H
 #define CIDER_ANDROID_BIONIC_H
 
-#include <functional>
-#include <string>
-#include <vector>
-
-#include "binfmt/program.h"
-#include "kernel/kernel.h"
-#include "kernel/linux_syscalls.h"
+#include "persona/libc.h"
 
 namespace cider::android {
 
-/** Per-process libc runtime state (extension key "bionic.state"). */
-struct LibcState
-{
-    std::vector<std::function<void()>> atexitHandlers;
-    struct Atfork
-    {
-        std::function<void()> prepare;
-        std::function<void()> parent;
-        std::function<void()> child;
-    };
-    std::vector<Atfork> atforkHandlers;
-};
-
-/** Thin, stateless libc facade bound to one running thread. */
-class Bionic
+class Bionic : public persona::Libc
 {
   public:
-    explicit Bionic(binfmt::UserEnv &env) : env_(env) {}
-
-    /// @{ File and descriptor calls.
-    int open(const std::string &path, int flags);
-    int close(int fd);
-    std::int64_t read(int fd, Bytes &out, std::size_t n);
-    std::int64_t write(int fd, const Bytes &data);
-    int dup(int fd);
-    int pipe(int fds[2]);
-    int mkdir(const std::string &path);
-    int unlink(const std::string &path);
-    int rmdir(const std::string &path);
-    int ioctl(int fd, std::uint64_t req, void *arg);
-    std::int64_t lseek(int fd, std::int64_t offset, int whence);
-    int stat(const std::string &path, kernel::StatBuf *out);
-    int rename(const std::string &from, const std::string &to);
-    int dup2(int fd, int new_fd);
-    int getppid();
-    int select(std::vector<int> &rd, std::vector<int> &wr,
-               std::vector<int> &ready);
-    /// @}
-
-    /// @{ Sockets.
-    int socket();
-    int bind(int fd, const std::string &path);
-    int listen(int fd, int backlog);
-    int accept(int fd);
-    int connect(int fd, const std::string &path);
-    int socketpair(int fds[2]);
-    /// @}
-
-    /// @{ Process control.
-    int getpid();
-    int fork(kernel::EntryFn child_body);
-    int execve(const std::string &path,
-               const std::vector<std::string> &argv);
-    [[noreturn]] void exit(int code);
-    int waitpid(int pid, int *status);
-    int kill(int pid, int linux_signo);
-    int sigaction(int linux_signo, kernel::SignalHandlerFn handler);
-    /// @}
-
-    /** lmbench's null syscall probe. */
-    int nullSyscall();
-
-    /// @{ Runtime registries.
-    void atexit(std::function<void()> fn);
-    void pthreadAtfork(std::function<void()> prepare,
-                       std::function<void()> parent,
-                       std::function<void()> child);
-    /// @}
-
-    /** errno of the calling thread's *android* TLS area. */
-    int errno_() const;
-
-    binfmt::UserEnv &env() { return env_; }
-
-  private:
-    /** Linux user-side convention: -1 + errno on failure. */
-    std::int64_t ret(const kernel::SyscallResult &r);
-    kernel::SyscallResult trap(int nr, kernel::SyscallArgs args);
-    LibcState &state();
-
-    binfmt::UserEnv &env_;
+    explicit Bionic(binfmt::UserEnv &env)
+        : Libc(env, persona::libcAbi(kernel::Persona::Android))
+    {}
 };
 
 } // namespace cider::android

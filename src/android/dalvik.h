@@ -79,7 +79,6 @@ class DalvikVm
 
     /** Master JIT switch; off means always interpret (A/B harness). */
     void setJitEnabled(bool on) { jitEnabled_ = on; }
-    bool jitEnabled() const { return jitEnabled_; }
 
     /** Invocations to interpret before translating a method. */
     void setJitWarmup(std::uint32_t runs) { jitWarmup_ = runs; }

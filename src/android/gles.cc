@@ -1,9 +1,8 @@
 #include "android/gles.h"
 
-#include "android/bionic.h"
 #include "base/cost_clock.h"
 #include "base/logging.h"
-#include "xnu/bsd_syscalls.h"
+#include "persona/libc.h"
 
 namespace cider::android {
 
@@ -42,35 +41,18 @@ glFlushPending(binfmt::UserEnv &env)
     // traps with Linux syscalls, the Apple build (running natively on
     // the iPad) with XNU ones. Either way the driver interface stays
     // opaque to the other ecosystem.
-    bool ios_native = env.thread.persona() == kernel::Persona::Ios;
-    kernel::TrapClass cls = ios_native ? kernel::TrapClass::XnuBsd
-                                       : kernel::TrapClass::LinuxSyscall;
-    int open_nr =
-        ios_native ? xnu::xnuno::OPEN : kernel::sysno::OPEN;
-    int ioctl_nr =
-        ios_native ? xnu::xnuno::IOCTL : kernel::sysno::IOCTL;
-
+    persona::Libc libc(env);
     if (st.gpuFd < 0) {
-        kernel::SyscallResult r = env.kernel.trap(
-            env.thread, cls, open_nr,
-            kernel::makeArgs(std::string("/dev/nvhost"),
-                             static_cast<std::int64_t>(
-                                 kernel::oflag::RDWR)));
-        if (!r.ok()) {
+        st.gpuFd = libc.open("/dev/nvhost", kernel::oflag::RDWR);
+        if (st.gpuFd < 0) {
             warn("libGLESv2: cannot open GPU device");
             st.pending.clear();
             return;
         }
-        st.gpuFd = static_cast<int>(r.value);
     }
     std::vector<gpu::GpuCommand> batch;
     batch.swap(st.pending);
-    env.kernel.trap(env.thread, cls, ioctl_nr,
-                    kernel::makeArgs(
-                        static_cast<std::int64_t>(st.gpuFd),
-                        static_cast<std::uint64_t>(
-                            gpu::GpuDevice::kIoctlSubmit),
-                        static_cast<void *>(&batch)));
+    libc.ioctl(st.gpuFd, gpu::GpuDevice::kIoctlSubmit, &batch);
 }
 
 void

@@ -1,6 +1,7 @@
 #include "base/logging.h"
 
 #include <atomic>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 
@@ -22,6 +23,17 @@ bool
 logQuiet()
 {
     return g_quiet.load(std::memory_order_relaxed);
+}
+
+void
+appendf(std::string &out, const char *fmt, ...)
+{
+    char buf[256];
+    va_list ap;
+    va_start(ap, fmt);
+    std::vsnprintf(buf, sizeof(buf), fmt, ap);
+    va_end(ap);
+    out += buf;
 }
 
 namespace detail {

@@ -70,6 +70,11 @@ inform(Args &&...args)
 void setLogQuiet(bool quiet);
 bool logQuiet();
 
+/** Append printf-style text to @p out, as the /proc/cider texts are
+ *  built; one call appends at most 255 characters. */
+void appendf(std::string &out, const char *fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
 } // namespace cider
 
 #endif // CIDER_BASE_LOGGING_H

@@ -95,12 +95,8 @@ class CiderSystem
     xnu::MachIpc &machIpc() { return *machIpc_; }
     xnu::PsynchSubsystem &psynch() { return *psynch_; }
     persona::PersonaManager *personaManager() { return persona_.get(); }
-    ducttape::SymbolRegistry &symbolRegistry() { return symbols_; }
-    ducttape::KernelCxxRuntime &cxxRuntime() { return cxxRuntime_; }
 
     iokit::IORegistry &ioRegistry() { return *ioRegistry_; }
-    iokit::IOCatalogue &ioCatalogue() { return *ioCatalogue_; }
-    iokit::NetFabric &netFabric() { return netFabric_; }
 
     gpu::SimGpu &gpu() { return *gpu_; }
     gpu::FramebufferDevice &framebuffer() { return *fbDevice_; }

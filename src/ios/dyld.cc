@@ -148,7 +148,7 @@ Dyld::bootstrap(binfmt::UserEnv &env, const binfmt::MachOImage &image)
 
     DyldImages &table = images(env);
     LibSystem libc(env);
-    DarwinState &darwin = libc.state();
+    persona::LibcState &darwin = libc.state();
     table.loaded.reserve(table.loaded.size() + plan->images);
     darwin.atexitHandlers.reserve(darwin.atexitHandlers.size() +
                                   plan->atexitHandlers);

@@ -1,8 +1,5 @@
 #include "ios/libsystem.h"
 
-#include "base/cost_clock.h"
-#include "persona/tls.h"
-
 namespace cider::ios {
 
 using kernel::SyscallArgs;
@@ -12,238 +9,10 @@ namespace nr = xnu::xnuno;
 namespace mnr = xnu::machno;
 
 SyscallResult
-LibSystem::bsd(int nr, SyscallArgs args)
-{
-    return env_.kernel.trap(env_.thread, TrapClass::XnuBsd, nr,
-                            std::move(args));
-}
-
-SyscallResult
 LibSystem::mach(int nr, SyscallArgs args)
 {
     return env_.kernel.trap(env_.thread, TrapClass::XnuMach, nr,
                             std::move(args));
-}
-
-std::int64_t
-LibSystem::ret(const SyscallResult &r)
-{
-    if (!r.ok()) {
-        // Carry flag set: err already carries the Darwin errno
-        // (converted at the kernel ABI boundary).
-        persona::ThreadTls::of(env_.thread)
-            .area(kernel::Persona::Ios)
-            .setErrno(r.err);
-        return -1;
-    }
-    return r.value;
-}
-
-DarwinState &
-LibSystem::state()
-{
-    return env_.process().ext().get<DarwinState>("libsystem.state");
-}
-
-int
-LibSystem::open(const std::string &path, int flags)
-{
-    return static_cast<int>(ret(bsd(
-        nr::OPEN,
-        kernel::makeArgs(path, static_cast<std::int64_t>(flags)))));
-}
-
-int
-LibSystem::close(int fd)
-{
-    return static_cast<int>(ret(
-        bsd(nr::CLOSE, kernel::makeArgs(static_cast<std::int64_t>(fd)))));
-}
-
-std::int64_t
-LibSystem::read(int fd, Bytes &out, std::size_t n)
-{
-    return ret(bsd(nr::READ,
-                   kernel::makeArgs(static_cast<std::int64_t>(fd), &out,
-                                    static_cast<std::uint64_t>(n))));
-}
-
-std::int64_t
-LibSystem::write(int fd, const Bytes &data)
-{
-    const Bytes *p = &data;
-    return ret(bsd(nr::WRITE,
-                   kernel::makeArgs(static_cast<std::int64_t>(fd), p)));
-}
-
-int
-LibSystem::dup(int fd)
-{
-    return static_cast<int>(ret(
-        bsd(nr::DUP, kernel::makeArgs(static_cast<std::int64_t>(fd)))));
-}
-
-int
-LibSystem::pipe(int fds[2])
-{
-    return static_cast<int>(
-        ret(bsd(nr::PIPE, kernel::makeArgs(static_cast<void *>(fds)))));
-}
-
-int
-LibSystem::mkdir(const std::string &path)
-{
-    return static_cast<int>(ret(bsd(nr::MKDIR, kernel::makeArgs(path))));
-}
-
-int
-LibSystem::unlink(const std::string &path)
-{
-    return static_cast<int>(ret(bsd(nr::UNLINK, kernel::makeArgs(path))));
-}
-
-int
-LibSystem::rmdir(const std::string &path)
-{
-    return static_cast<int>(ret(bsd(nr::RMDIR, kernel::makeArgs(path))));
-}
-
-int
-LibSystem::ioctl(int fd, std::uint64_t req, void *arg)
-{
-    return static_cast<int>(ret(
-        bsd(nr::IOCTL, kernel::makeArgs(static_cast<std::int64_t>(fd),
-                                        req, arg))));
-}
-
-std::int64_t
-LibSystem::lseek(int fd, std::int64_t offset, int whence)
-{
-    return ret(bsd(nr::LSEEK,
-                   kernel::makeArgs(static_cast<std::int64_t>(fd),
-                                    offset,
-                                    static_cast<std::int64_t>(
-                                        whence))));
-}
-
-int
-LibSystem::stat(const std::string &path, kernel::StatBuf *out)
-{
-    return static_cast<int>(ret(bsd(
-        nr::STAT, kernel::makeArgs(path, static_cast<void *>(out)))));
-}
-
-int
-LibSystem::rename(const std::string &from, const std::string &to)
-{
-    return static_cast<int>(
-        ret(bsd(nr::RENAME, kernel::makeArgs(from, to))));
-}
-
-int
-LibSystem::dup2(int fd, int new_fd)
-{
-    return static_cast<int>(
-        ret(bsd(nr::DUP2,
-                kernel::makeArgs(static_cast<std::int64_t>(fd),
-                                 static_cast<std::int64_t>(new_fd)))));
-}
-
-int
-LibSystem::getppid()
-{
-    return static_cast<int>(ret(bsd(nr::GETPPID, kernel::makeArgs())));
-}
-
-int
-LibSystem::select(std::vector<int> &rd, std::vector<int> &wr,
-                  std::vector<int> &ready)
-{
-    return static_cast<int>(ret(bsd(
-        nr::SELECT,
-        kernel::makeArgs(static_cast<void *>(&rd),
-                         static_cast<void *>(&wr),
-                         static_cast<void *>(&ready)))));
-}
-
-int
-LibSystem::socket()
-{
-    return static_cast<int>(ret(bsd(nr::SOCKET, kernel::makeArgs())));
-}
-
-int
-LibSystem::bind(int fd, const std::string &path)
-{
-    return static_cast<int>(ret(bsd(
-        nr::BIND, kernel::makeArgs(static_cast<std::int64_t>(fd), path))));
-}
-
-int
-LibSystem::listen(int fd, int backlog)
-{
-    return static_cast<int>(
-        ret(bsd(nr::LISTEN,
-                kernel::makeArgs(static_cast<std::int64_t>(fd),
-                                 static_cast<std::int64_t>(backlog)))));
-}
-
-int
-LibSystem::accept(int fd)
-{
-    return static_cast<int>(ret(
-        bsd(nr::ACCEPT, kernel::makeArgs(static_cast<std::int64_t>(fd)))));
-}
-
-int
-LibSystem::connect(int fd, const std::string &path)
-{
-    return static_cast<int>(ret(bsd(
-        nr::CONNECT,
-        kernel::makeArgs(static_cast<std::int64_t>(fd), path))));
-}
-
-int
-LibSystem::getpid()
-{
-    return static_cast<int>(ret(bsd(nr::GETPID, kernel::makeArgs())));
-}
-
-int
-LibSystem::fork(kernel::EntryFn child_body)
-{
-    DarwinState &st = state();
-    const double handler_ns =
-        env_.kernel.profile().cyclesToNs(DarwinState::kHandlerCycles);
-
-    // iOS libraries register large numbers of pthread_atfork
-    // callbacks; running them before and after fork is a major part
-    // of the 14x fork slowdown in Figure 5.
-    for (const auto &h : st.atforkHandlers) {
-        charge(static_cast<std::uint64_t>(handler_ns));
-        if (h.prepare)
-            h.prepare();
-    }
-
-    kernel::EntryFn wrapped =
-        [child_body, handlers = st.atforkHandlers,
-         handler_ns](kernel::Thread &t) -> int {
-        for (const auto &h : handlers) {
-            charge(static_cast<std::uint64_t>(handler_ns));
-            if (h.child)
-                h.child();
-        }
-        return child_body ? child_body(t) : 0;
-    };
-    std::int64_t pid = ret(bsd(
-        nr::FORK, kernel::makeArgs(static_cast<void *>(&wrapped))));
-
-    for (const auto &h : st.atforkHandlers) {
-        charge(static_cast<std::uint64_t>(handler_ns));
-        if (h.parent)
-            h.parent();
-    }
-    return static_cast<int>(pid);
 }
 
 int
@@ -251,155 +20,39 @@ LibSystem::posixSpawn(const std::string &path,
                       const std::vector<std::string> &argv)
 {
     std::vector<std::string> argv_copy = argv;
-    return static_cast<int>(ret(bsd(
-        nr::POSIX_SPAWN,
-        kernel::makeArgs(path, static_cast<void *>(&argv_copy)))));
-}
-
-int
-LibSystem::execve(const std::string &path,
-                  const std::vector<std::string> &argv)
-{
-    std::vector<std::string> argv_copy = argv;
-    return static_cast<int>(ret(bsd(
-        nr::EXECVE,
-        kernel::makeArgs(path, static_cast<void *>(&argv_copy)))));
-}
-
-void
-LibSystem::runExitHandlers()
-{
-    DarwinState &st = state();
-    const double handler_ns =
-        env_.kernel.profile().cyclesToNs(DarwinState::kHandlerCycles);
-    // dyld registered one of these per loaded image — all 100+ run on
-    // every exit (Figure 5, fork+exit).
-    for (auto it = st.atexitHandlers.rbegin();
-         it != st.atexitHandlers.rend(); ++it) {
-        charge(static_cast<std::uint64_t>(handler_ns));
-        (*it)();
-    }
-    st.atexitHandlers.clear();
-}
-
-void
-LibSystem::exit(int code)
-{
-    runExitHandlers();
-    bsd(nr::EXIT, kernel::makeArgs(static_cast<std::int64_t>(code)));
-    throw kernel::ProcessExit{code};
-}
-
-int
-LibSystem::wait4(int pid, int *status)
-{
     return static_cast<int>(
-        ret(bsd(nr::WAIT4,
-                kernel::makeArgs(static_cast<std::int64_t>(pid),
-                                 static_cast<void *>(status)))));
-}
-
-int
-LibSystem::kill(int pid, int xnu_signo)
-{
-    return static_cast<int>(
-        ret(bsd(nr::KILL,
-                kernel::makeArgs(static_cast<std::int64_t>(pid),
-                                 static_cast<std::int64_t>(xnu_signo)))));
-}
-
-int
-LibSystem::sigaction(int xnu_signo, kernel::SignalHandlerFn handler)
-{
-    kernel::SignalAction act;
-    if (handler) {
-        act.kind = kernel::SignalAction::Kind::Handler;
-        act.fn = std::move(handler);
-    } else {
-        act.kind = kernel::SignalAction::Kind::Ignore;
-    }
-    return static_cast<int>(
-        ret(bsd(nr::SIGACTION,
-                kernel::makeArgs(static_cast<std::int64_t>(xnu_signo),
-                                 static_cast<void *>(&act)))));
-}
-
-int
-LibSystem::nullSyscall()
-{
-    return static_cast<int>(
-        ret(bsd(nr::NULL_SYSCALL, kernel::makeArgs())));
+        sys(nr::POSIX_SPAWN, path, static_cast<void *>(&argv_copy)));
 }
 
 int
 LibSystem::pthreadMutexLock(std::uint64_t mutex_addr)
 {
-    return static_cast<int>(
-        ret(bsd(nr::PSYNCH_MUTEXWAIT, kernel::makeArgs(mutex_addr))));
+    return static_cast<int>(sys(nr::PSYNCH_MUTEXWAIT, mutex_addr));
 }
 
 int
 LibSystem::pthreadMutexUnlock(std::uint64_t mutex_addr)
 {
-    return static_cast<int>(
-        ret(bsd(nr::PSYNCH_MUTEXDROP, kernel::makeArgs(mutex_addr))));
+    return static_cast<int>(sys(nr::PSYNCH_MUTEXDROP, mutex_addr));
 }
 
 int
 LibSystem::pthreadCondWait(std::uint64_t cv_addr,
                            std::uint64_t mutex_addr)
 {
-    return static_cast<int>(ret(
-        bsd(nr::PSYNCH_CVWAIT, kernel::makeArgs(cv_addr, mutex_addr))));
+    return static_cast<int>(sys(nr::PSYNCH_CVWAIT, cv_addr, mutex_addr));
 }
 
 int
 LibSystem::pthreadCondSignal(std::uint64_t cv_addr)
 {
-    return static_cast<int>(
-        ret(bsd(nr::PSYNCH_CVSIGNAL, kernel::makeArgs(cv_addr))));
+    return static_cast<int>(sys(nr::PSYNCH_CVSIGNAL, cv_addr));
 }
 
 int
 LibSystem::pthreadCondBroadcast(std::uint64_t cv_addr)
 {
-    return static_cast<int>(
-        ret(bsd(nr::PSYNCH_CVBROAD, kernel::makeArgs(cv_addr))));
-}
-
-void
-LibSystem::atexit(std::function<void()> fn)
-{
-    state().atexitHandlers.push_back(std::move(fn));
-}
-
-void
-LibSystem::pthreadAtfork(std::function<void()> prepare,
-                         std::function<void()> parent,
-                         std::function<void()> child)
-{
-    state().atforkHandlers.push_back(
-        {std::move(prepare), std::move(parent), std::move(child)});
-}
-
-std::size_t
-LibSystem::atexitCount()
-{
-    return state().atexitHandlers.size();
-}
-
-std::size_t
-LibSystem::atforkCount()
-{
-    return state().atforkHandlers.size();
-}
-
-int
-LibSystem::errno_() const
-{
-    return persona::ThreadTls::of(env_.thread)
-        .area(kernel::Persona::Ios)
-        .errnoValue();
+    return static_cast<int>(sys(nr::PSYNCH_CVBROAD, cv_addr));
 }
 
 xnu::mach_port_name_t

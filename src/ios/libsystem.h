@@ -2,85 +2,41 @@
  * @file
  * libSystem: the Darwin libc/Mach layer iOS binaries link against.
  *
- * All kernel access goes through XNU trap classes: BSD syscalls with
- * XNU numbers and the carry-flag convention (failure = -1 with a
- * *Darwin* errno placed in the iOS TLS area), Mach traps for IPC, and
- * the IOKit user client calls. It also owns the Darwin runtime
- * registries: dyld registers one exit callback per loaded image and
- * iOS libraries install many pthread_atfork callbacks — the two
- * user-space costs that dominate the fork/exit results in Figure 5.
+ * All kernel access goes through XNU trap classes. The POSIX calls are
+ * persona::Libc on the iOS ABI: BSD syscalls with XNU numbers and the
+ * carry-flag convention (failure = -1 with a *Darwin* errno placed in
+ * the iOS TLS area), and the Darwin runtime registries — dyld
+ * registers one exit callback per loaded image and iOS libraries
+ * install many pthread_atfork callbacks, the two user-space costs that
+ * dominate the fork/exit results in Figure 5. What only Darwin has is
+ * here: posix_spawn, the psynch-backed pthread calls, Mach traps for
+ * IPC, and the IOKit user client calls.
  */
 
 #ifndef CIDER_IOS_LIBSYSTEM_H
 #define CIDER_IOS_LIBSYSTEM_H
 
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "binfmt/program.h"
 #include "iokit/io_service.h"
-#include "kernel/kernel.h"
+#include "persona/libc.h"
 #include "xnu/bsd_syscalls.h"
 #include "xnu/mach_traps.h"
 
 namespace cider::ios {
 
-/** Per-process Darwin runtime state (key "libsystem.state"). */
-struct DarwinState
-{
-    std::vector<std::function<void()>> atexitHandlers;
-    struct Atfork
-    {
-        std::function<void()> prepare;
-        std::function<void()> parent;
-        std::function<void()> child;
-    };
-    std::vector<Atfork> atforkHandlers;
-    /** Cost in CPU cycles of one registered handler invocation. */
-    static constexpr double kHandlerCycles = 16000;
-};
-
-class LibSystem
+/** persona::Libc on the iOS ABI (Darwin signal numbers; waitpid
+ *  traps as wait4), plus the calls only Darwin has. */
+class LibSystem : public persona::Libc
 {
   public:
-    explicit LibSystem(binfmt::UserEnv &env) : env_(env) {}
+    explicit LibSystem(binfmt::UserEnv &env)
+        : Libc(env, persona::libcAbi(kernel::Persona::Ios))
+    {}
 
-    /// @{ BSD layer.
-    int open(const std::string &path, int flags);
-    int close(int fd);
-    std::int64_t read(int fd, Bytes &out, std::size_t n);
-    std::int64_t write(int fd, const Bytes &data);
-    int dup(int fd);
-    int pipe(int fds[2]);
-    int mkdir(const std::string &path);
-    int unlink(const std::string &path);
-    int rmdir(const std::string &path);
-    int ioctl(int fd, std::uint64_t req, void *arg);
-    std::int64_t lseek(int fd, std::int64_t offset, int whence);
-    int stat(const std::string &path, kernel::StatBuf *out);
-    int rename(const std::string &from, const std::string &to);
-    int dup2(int fd, int new_fd);
-    int getppid();
-    int select(std::vector<int> &rd, std::vector<int> &wr,
-               std::vector<int> &ready);
-    int socket();
-    int bind(int fd, const std::string &path);
-    int listen(int fd, int backlog);
-    int accept(int fd);
-    int connect(int fd, const std::string &path);
-    int getpid();
-    int fork(kernel::EntryFn child_body);
     int posixSpawn(const std::string &path,
                    const std::vector<std::string> &argv);
-    int execve(const std::string &path,
-               const std::vector<std::string> &argv);
-    [[noreturn]] void exit(int code);
-    int wait4(int pid, int *status);
-    int kill(int pid, int xnu_signo);
-    int sigaction(int xnu_signo, kernel::SignalHandlerFn handler);
-    int nullSyscall();
-    /// @}
 
     /// @{ psynch-backed pthread operations.
     int pthreadMutexLock(std::uint64_t mutex_addr);
@@ -89,18 +45,6 @@ class LibSystem
     int pthreadCondSignal(std::uint64_t cv_addr);
     int pthreadCondBroadcast(std::uint64_t cv_addr);
     /// @}
-
-    /// @{ Runtime registries.
-    void atexit(std::function<void()> fn);
-    void pthreadAtfork(std::function<void()> prepare,
-                       std::function<void()> parent,
-                       std::function<void()> child);
-    std::size_t atexitCount();
-    std::size_t atforkCount();
-    /// @}
-
-    /** Darwin errno from the iOS TLS area. */
-    int errno_() const;
 
     /// @{ Mach layer.
     xnu::mach_port_name_t machPortAllocate(xnu::PortRight right);
@@ -134,18 +78,8 @@ class LibSystem
                         std::vector<std::int64_t> &output);
     /// @}
 
-    binfmt::UserEnv &env() { return env_; }
-    DarwinState &state();
-
-    /** Run (and charge for) all registered atexit handlers. */
-    void runExitHandlers();
-
   private:
-    std::int64_t ret(const kernel::SyscallResult &r);
-    kernel::SyscallResult bsd(int nr, kernel::SyscallArgs args);
     kernel::SyscallResult mach(int nr, kernel::SyscallArgs args);
-
-    binfmt::UserEnv &env_;
 };
 
 } // namespace cider::ios

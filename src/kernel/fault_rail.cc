@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 
 #include "base/cost_clock.h"
+#include "base/logging.h"
 #include "ducttape/xnu_api.h"
 #include "kernel/process.h"
 #include "kernel/thread.h"
@@ -271,17 +271,6 @@ FaultRail::resetCounters()
 }
 
 namespace {
-
-void
-appendf(std::string &out, const char *fmt, ...)
-{
-    char buf[256];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
-}
 
 std::string
 policyText(const FaultSpec &spec)

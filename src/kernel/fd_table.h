@@ -7,6 +7,7 @@
 #define CIDER_KERNEL_FD_TABLE_H
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "kernel/file.h"
@@ -17,16 +18,27 @@ namespace cider::kernel {
 /**
  * Descriptor table. Entries are shared FileDescription objects so
  * dup() and fork() share offsets and flags, as on Linux.
+ *
+ * The threads of one process (an iOS app's main thread and its event
+ * pump) open and close descriptors at once, so one mutex guards the
+ * slots and every public operation holds it. A description the table
+ * drops is released after the lock is let go: the last reference
+ * closes its file object, which may wake another thread.
  */
 class FdTable
 {
   public:
     explicit FdTable(int max_fds = 1024) : maxFds_(max_fds) {}
 
-    /** Install @p file at the lowest free slot; -EMFILE when full. */
-    SyscallResult install(std::shared_ptr<OpenFile> file);
+    FdTable(const FdTable &) = delete;
+    FdTable &operator=(const FdTable &) = delete;
 
-    /** Install an existing description (used by dup and fork). */
+    /** Install @p file at the lowest free slot; -EMFILE when full.
+     *  @p cloexec marks the new description close-on-exec. */
+    SyscallResult install(std::shared_ptr<OpenFile> file,
+                          bool cloexec = false);
+
+    /** Install an existing description (used by dup). */
     SyscallResult installDescription(std::shared_ptr<FileDescription> d);
 
     /** Look up a descriptor; null when closed or out of range. */
@@ -37,8 +49,9 @@ class FdTable
     SyscallResult dup2(Fd fd, Fd new_fd);
     SyscallResult close(Fd fd);
 
-    /** Clone the table for fork(): descriptions are shared. */
-    FdTable cloneForFork() const;
+    /** fork(): fill this (a new child's, empty) table with @p parent's
+     *  descriptors; the descriptions are shared. */
+    void forkFrom(const FdTable &parent);
 
     /** Close everything (process exit) and drop CLOEXEC fds (exec). */
     void closeAll();
@@ -47,11 +60,20 @@ class FdTable
     /** Number of live descriptors. */
     int openCount() const;
 
-    int maxFds() const { return maxFds_; }
-
   private:
-    int maxFds_;
-    std::vector<std::shared_ptr<FileDescription>> slots_;
+    using Slots = std::vector<std::shared_ptr<FileDescription>>;
+
+    /// @{ get() and the lowest-free-slot install; the caller holds mu_.
+    std::shared_ptr<FileDescription> getLocked(Fd fd) const;
+    SyscallResult installLocked(std::shared_ptr<FileDescription> d);
+    /// @}
+    /** Drop a description the table no longer holds; the last
+     *  reference closes the file object. Call without mu_. */
+    static void release(std::shared_ptr<FileDescription> d);
+
+    const int maxFds_;
+    mutable std::mutex mu_;
+    Slots slots_;
 };
 
 } // namespace cider::kernel

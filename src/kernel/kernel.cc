@@ -406,10 +406,8 @@ Kernel::sysOpen(Thread &t, const std::string &path, int flags)
       case InodeType::Directory:
         return SyscallResult::failure(lnx::ISDIR);
     }
-    SyscallResult r = t.process().fds().install(std::move(file));
-    if (r.ok() && (flags & oflag::CLOEXEC))
-        t.process().fds().get(static_cast<Fd>(r.value))->cloexec = true;
-    return r;
+    return t.process().fds().install(std::move(file),
+                                     (flags & oflag::CLOEXEC) != 0);
 }
 
 SyscallResult
@@ -804,7 +802,7 @@ Kernel::sysFork(Thread &t, EntryFn child_body, bool run_now)
     Process &child =
         createProcess(parent.name() + ":child", t.persona(), &parent);
     child.mem().forkFrom(parent.mem(), /*eager=*/false);
-    child.fds() = parent.fds().cloneForFork();
+    child.fds().forkFrom(parent.fds());
     child.signals() = parent.signals();
     child.image() = parent.image();
     child.image().entry = child_body;

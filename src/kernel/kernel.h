@@ -246,13 +246,11 @@ class Kernel
      * the corpse with waitpid. Off by default.
      */
     void setOomKillEnabled(bool on) { oomKillEnabled_ = on; }
-    bool oomKillEnabled() const { return oomKillEnabled_; }
     /// @}
 
     /// @{ Extension seams.
     void registerLoader(std::unique_ptr<BinaryLoader> loader);
     void setSignalHook(std::unique_ptr<SignalDeliveryHook> hook);
-    SignalDeliveryHook &signalHook() { return *signalHook_; }
 
     using ProcessHook = std::function<void(Process &parent, Process &child)>;
     using ExecHook = std::function<void(Process &proc)>;

@@ -68,7 +68,6 @@ class Process
 
     Pid pid() const { return pid_; }
     const std::string &name() const { return name_; }
-    void setName(std::string name) { name_ = std::move(name); }
     Process *parent() const { return parent_; }
     /** Re-home this process (init-style orphan adoption on reap). */
     void reparent(Process *p) { parent_ = p; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <fstream>
 
@@ -12,21 +11,6 @@ namespace cider::kernel {
 
 // ---------------------------------------------------------------------------
 // SchedResult
-
-namespace {
-
-void
-appendf(std::string &out, const char *fmt, ...)
-{
-    char buf[256];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
-}
-
-} // namespace
 
 std::vector<std::uint32_t>
 SchedResult::schedule() const

@@ -54,8 +54,8 @@
  * On top of the rail sits a lock-order graph: while tracking is
  * enabled, every lck_mtx (and zalloc zone lock) acquisition records
  * held-before edges; cycles in that graph are reported as potential
- * deadlocks through lockOrderCycles() and the /proc/cider/lockorder
- * device node.
+ * deadlocks through LockOrderGraph::cycles() and the
+ * /proc/cider/lockorder device node.
  */
 
 #ifndef CIDER_KERNEL_SCHED_RAIL_H

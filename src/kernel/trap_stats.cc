@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 
 #include "base/logging.h"
@@ -562,21 +561,6 @@ TrapStats::shardCount() const
     std::lock_guard<std::mutex> lock(mu_);
     return shards_.size();
 }
-
-namespace {
-
-void
-appendf(std::string &out, const char *fmt, ...)
-{
-    char buf[256];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
-}
-
-} // namespace
 
 std::string
 TrapStats::dump() const

@@ -83,7 +83,6 @@ class PersonaManager
 
     kernel::SyscallTable &xnuBsdTable() { return xnuBsd_; }
     kernel::SyscallTable &machTable() { return mach_; }
-    kernel::SyscallTable &mdepTable() { return mdep_; }
     const PersonaCosts &costs() const { return costs_; }
 
     /** Count of persona switches performed (ablation metric), by

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "hw/device_profile.h"
@@ -146,6 +147,46 @@ TEST_F(FdPipeSocketTest, PipeBlocksReaderUntilWriterDelivers)
     EXPECT_EQ(kernel_.sysRead(*thread_, fds[0], out, 1).value, 1);
     EXPECT_EQ(out, Bytes{42});
     writer.join();
+}
+
+TEST_F(FdPipeSocketTest, ThreadsOfOneProcessShareTheTableSafely)
+{
+    // An iOS app's main thread and its event pump: two host threads,
+    // each running its own thread of one process, open and close
+    // descriptors at once. No fd may be handed out twice while it is
+    // open, and every one comes back.
+    kernel_.vfs().writeFile("/tmp/shared", Bytes{1});
+    Thread &second = proc_->createThread(Persona::Android);
+    const int baseline = proc_->fds().openCount();
+    constexpr int kRounds = 2000;
+    constexpr int kHeld = 4;
+    std::vector<std::atomic<int>> holder(256);
+    std::atomic<int> clashes{0};
+
+    auto churn = [&](Thread &t, int me) {
+        ThreadScope scope(t);
+        for (int round = 0; round < kRounds; ++round) {
+            Fd held[kHeld];
+            for (Fd &fd : held) {
+                fd = static_cast<Fd>(
+                    kernel_.sysOpen(t, "/tmp/shared", oflag::RDONLY).value);
+                if (fd < 0 || fd >= static_cast<Fd>(holder.size()) ||
+                    holder[static_cast<std::size_t>(fd)].exchange(me) != 0)
+                    ++clashes;
+            }
+            for (Fd fd : held) {
+                if (fd >= 0 && fd < static_cast<Fd>(holder.size()))
+                    holder[static_cast<std::size_t>(fd)].store(0);
+                kernel_.sysClose(t, fd);
+            }
+        }
+    };
+    std::thread pump(churn, std::ref(second), 2);
+    churn(*thread_, 1);
+    pump.join();
+
+    EXPECT_EQ(clashes.load(), 0);
+    EXPECT_EQ(proc_->fds().openCount(), baseline);
 }
 
 TEST_F(FdPipeSocketTest, SocketpairBidirectional)

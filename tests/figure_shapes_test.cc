@@ -9,13 +9,12 @@
 #include <gtest/gtest.h>
 
 #include "base/logging.h"
-#include "bench/posix_facade.h"
 #include "core/cider_system.h"
+#include "persona/libc.h"
 
 namespace cider {
 namespace {
 
-using bench::Posix;
 using core::CiderSystem;
 using core::SystemConfig;
 using core::SystemOptions;
@@ -37,7 +36,7 @@ boot(SystemConfig config)
 
 /** Run @p body in a process holding the config's binary persona. */
 std::uint64_t
-measureIn(CiderSystem &sys, const std::function<void(Posix &)> &body)
+measureIn(CiderSystem &sys, const std::function<void(persona::Libc &)> &body)
 {
     bool ios = runsIos(sys.config());
     std::uint64_t ns = 0;
@@ -45,7 +44,7 @@ measureIn(CiderSystem &sys, const std::function<void(Posix &)> &body)
                      ios ? kernel::Persona::Ios
                          : kernel::Persona::Android,
                      [&](binfmt::UserEnv &env) {
-                         Posix posix(env);
+                         persona::Libc posix(env);
                          ns = measureVirtual([&] { body(posix); });
                          return 0;
                      });
@@ -61,7 +60,7 @@ TEST(FigureShapes, NullSyscallOverheadBands)
 
     auto null_cost = [&](CiderSystem &sys) {
         return measureIn(sys,
-                         [](Posix &posix) { posix.nullSyscall(); });
+                         [](persona::Libc &posix) { posix.nullSyscall(); });
     };
     double base = static_cast<double>(null_cost(*vanilla));
     double ca = static_cast<double>(null_cost(*cider_a)) / base;
@@ -75,10 +74,10 @@ TEST(FigureShapes, ForkExitRatioBand)
 {
     setLogQuiet(true);
     auto fork_exit = [](CiderSystem &sys) {
-        return measureIn(sys, [&sys](Posix &posix) {
+        return measureIn(sys, [&sys](persona::Libc &posix) {
             int pid = posix.fork([&sys](kernel::Thread &t) -> int {
                 binfmt::UserEnv cenv{sys.kernel(), t, {}};
-                Posix child(cenv);
+                persona::Libc child(cenv);
                 child.exit(0);
             });
             int status;
@@ -99,12 +98,12 @@ TEST(FigureShapes, ForkExitRatioBand)
     std::uint64_t ci_ns = 0;
     cider_i->installMachOExecutable(
         "/data/shape", "shape.main", [&](binfmt::UserEnv &env) {
-            Posix posix(env);
+            persona::Libc posix(env);
             ci_ns = measureVirtual([&] {
                 int pid = posix.fork(
                     [&env](kernel::Thread &t) -> int {
                         binfmt::UserEnv cenv{env.kernel, t, {}};
-                        Posix child(cenv);
+                        persona::Libc child(cenv);
                         child.exit(0);
                     });
                 int status;
@@ -125,7 +124,7 @@ TEST(FigureShapes, IpadSelectDegradesAndFails)
     auto ipad = boot(SystemConfig::IPadMini);
     int rc = ipad->runInProcess(
         "sel", kernel::Persona::Ios, [&](binfmt::UserEnv &env) {
-            Posix posix(env);
+            persona::Libc posix(env);
             std::vector<int> fds;
             for (int i = 0; i < 125; ++i) {
                 int pair_fds[2];
@@ -148,7 +147,7 @@ TEST(FigureShapes, IpadSelectDegradesAndFails)
     auto cider = boot(SystemConfig::CiderIos);
     rc = cider->runInProcess(
         "sel", kernel::Persona::Ios, [&](binfmt::UserEnv &env) {
-            Posix posix(env);
+            persona::Libc posix(env);
             std::vector<int> fds;
             for (int i = 0; i < 125; ++i) {
                 int pair_fds[2];

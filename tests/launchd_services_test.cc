@@ -153,7 +153,7 @@ TEST_F(LaunchdFixture, ForkedChildInheritsBootstrapAccess)
                                                                   : 2;
             });
             int status = -1;
-            libc.wait4(pid, &status);
+            libc.waitpid(pid, &status);
             child_result = status;
             if (child_result != 0)
                 return child_result;

@@ -1,18 +1,15 @@
 /**
  * @file
  * Tests for the wider POSIX surface (lseek, stat, rename, dup2,
- * getppid) through both libc builds on a booted Cider system —
- * confirming the XNU wrappers and the Linux implementations agree.
+ * getppid) through the libc of both personas on a booted Cider system
+ * — confirming the XNU ABI and the Linux implementations agree.
  */
 
 #include <gtest/gtest.h>
 
-#include <type_traits>
-
-#include "android/bionic.h"
 #include "base/logging.h"
 #include "core/cider_system.h"
-#include "ios/libsystem.h"
+#include "persona/libc.h"
 
 namespace cider {
 namespace {
@@ -45,12 +42,10 @@ class PosixExtras : public ::testing::TestWithParam<bool>
     std::unique_ptr<CiderSystem> sys_;
 };
 
-// One facade over both libcs, statically chosen per parameter.
-template <typename Libc>
 int
 lseekBody(binfmt::UserEnv &env)
 {
-    Libc libc(env);
+    persona::Libc libc(env);
     int fd = libc.open("/tmp/seek.bin",
                        kernel::oflag::CREAT | kernel::oflag::RDWR);
     if (fd < 0)
@@ -80,11 +75,10 @@ lseekBody(binfmt::UserEnv &env)
     return 0;
 }
 
-template <typename Libc>
 int
 statRenameBody(binfmt::UserEnv &env)
 {
-    Libc libc(env);
+    persona::Libc libc(env);
     int fd = libc.open("/tmp/old.bin",
                        kernel::oflag::CREAT | kernel::oflag::RDWR);
     Bytes data(123, 7);
@@ -113,11 +107,10 @@ statRenameBody(binfmt::UserEnv &env)
     return 0;
 }
 
-template <typename Libc>
 int
 dup2Body(binfmt::UserEnv &env)
 {
-    Libc libc(env);
+    persona::Libc libc(env);
     int fd = libc.open("/tmp/d2.bin",
                        kernel::oflag::CREAT | kernel::oflag::RDWR);
     if (libc.dup2(fd, 77) != 77)
@@ -135,59 +128,39 @@ dup2Body(binfmt::UserEnv &env)
     return 0;
 }
 
-template <typename Libc>
 int
 getppidBody(binfmt::UserEnv &env)
 {
-    Libc libc(env);
+    persona::Libc libc(env);
     int self = libc.getpid();
     int result = -1;
     int pid = libc.fork([&](kernel::Thread &child) -> int {
         binfmt::UserEnv cenv{env.kernel, child, {}};
-        Libc clibc(cenv);
+        persona::Libc clibc(cenv);
         return clibc.getppid();
     });
-    if constexpr (std::is_same_v<Libc, ios::LibSystem>)
-        libc.wait4(pid, &result);
-    else
-        libc.waitpid(pid, &result);
+    libc.waitpid(pid, &result);
     return result == self ? 0 : 1;
 }
 
 TEST_P(PosixExtras, Lseek)
 {
-    int rc = run([&](binfmt::UserEnv &env) {
-        return GetParam() ? lseekBody<ios::LibSystem>(env)
-                          : lseekBody<android::Bionic>(env);
-    });
-    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(run(lseekBody), 0);
 }
 
 TEST_P(PosixExtras, StatAndRename)
 {
-    int rc = run([&](binfmt::UserEnv &env) {
-        return GetParam() ? statRenameBody<ios::LibSystem>(env)
-                          : statRenameBody<android::Bionic>(env);
-    });
-    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(run(statRenameBody), 0);
 }
 
 TEST_P(PosixExtras, Dup2)
 {
-    int rc = run([&](binfmt::UserEnv &env) {
-        return GetParam() ? dup2Body<ios::LibSystem>(env)
-                          : dup2Body<android::Bionic>(env);
-    });
-    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(run(dup2Body), 0);
 }
 
 TEST_P(PosixExtras, Getppid)
 {
-    int rc = run([&](binfmt::UserEnv &env) {
-        return GetParam() ? getppidBody<ios::LibSystem>(env)
-                          : getppidBody<android::Bionic>(env);
-    });
-    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(run(getppidBody), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothPersonas, PosixExtras,

@@ -316,7 +316,7 @@ TEST(SystemIntegration, WaitedChildrenLeaveNoProcessBehind)
             ios::LibSystem libc(env);
             int pid = libc.fork([](kernel::Thread &) { return 0; });
             int status = -1;
-            if (libc.wait4(pid, &status) != pid || status != 0)
+            if (libc.waitpid(pid, &status) != pid || status != 0)
                 return 1;
             children.push_back(pid);
             return k.findProcess(pid) ? 2 : 0;

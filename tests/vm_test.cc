@@ -821,7 +821,7 @@ runGoldenSequence()
             });
             out.vmForked = procText(env, "/proc/cider/vm");
             int status = -1;
-            libc.wait4(child_pid, &status);
+            libc.waitpid(child_pid, &status);
             if (status != 0)
                 return 2;
             // The child is gone; a lingering table entry, where the

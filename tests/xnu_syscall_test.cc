@@ -99,7 +99,7 @@ TEST_F(XnuSyscallTest, ForkRunsAtforkHandlersAndChargesThem)
     std::uint64_t cost = measureVirtual([&] {
         int pid = libc_->fork([](kernel::Thread &) { return 0; });
         int status;
-        libc_->wait4(pid, &status);
+        libc_->waitpid(pid, &status);
     });
     EXPECT_EQ(prepares, 5);
     EXPECT_EQ(parents, 5);
@@ -121,7 +121,7 @@ TEST_F(XnuSyscallTest, ExitRunsAtexitHandlersMostRecentFirst)
         child_libc.exit(5);
     });
     int status = 0;
-    libc_->wait4(pid, &status);
+    libc_->waitpid(pid, &status);
     EXPECT_EQ(status, 5);
     EXPECT_EQ(order, (std::vector<int>{2, 1}));
 }
@@ -143,7 +143,7 @@ TEST_F(XnuSyscallTest, PosixSpawnComposesForkAndExec)
     int pid = libc_->posixSpawn("/system/bin/spawned", {"spawned", "hello"});
     ASSERT_GT(pid, 0);
     int status = 0;
-    EXPECT_GT(libc_->wait4(pid, &status), 0);
+    EXPECT_GT(libc_->waitpid(pid, &status), 0);
     EXPECT_EQ(status, 11);
 }
 
