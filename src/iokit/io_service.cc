@@ -166,7 +166,7 @@ registerIoKitTraps(kernel::SyscallTable &mach_table, IOCatalogue &catalogue)
         iokitno::GET_MATCHING_SERVICE, "io_service_get_matching_service",
         [](kernel::TrapContext &c, void *u) {
             IOCatalogue &catalogue = catalogueOf(u);
-            const std::string &class_name = c.args.str(0);
+            const std::string class_name(c.args.str(0));
             if (IOService *service = catalogue.findService(class_name))
                 return kernel::SyscallResult::success(
                     static_cast<std::int64_t>(service->entryId()));
@@ -187,7 +187,8 @@ registerIoKitTraps(kernel::SyscallTable &mach_table, IOCatalogue &catalogue)
             if (!entry || !out)
                 return kernel::SyscallResult::success(
                     xnu::KERN_INVALID_NAME);
-            *out = osValueString(entry->property(c.args.str(1)));
+            *out = osValueString(
+                entry->property(std::string(c.args.str(1))));
             return kernel::SyscallResult::success(xnu::KERN_SUCCESS);
         },
         &catalogue);

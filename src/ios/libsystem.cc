@@ -9,10 +9,9 @@ namespace nr = xnu::xnuno;
 namespace mnr = xnu::machno;
 
 SyscallResult
-LibSystem::mach(int nr, SyscallArgs args)
+LibSystem::mach(int nr, const SyscallArgs &args)
 {
-    return env_.kernel.trap(env_.thread, TrapClass::XnuMach, nr,
-                            std::move(args));
+    return env_.kernel.trap(env_.thread, TrapClass::XnuMach, nr, args);
 }
 
 int
@@ -36,25 +35,6 @@ LibSystem::pthreadMutexUnlock(std::uint64_t mutex_addr)
     return static_cast<int>(sys(nr::PSYNCH_MUTEXDROP, mutex_addr));
 }
 
-int
-LibSystem::pthreadCondWait(std::uint64_t cv_addr,
-                           std::uint64_t mutex_addr)
-{
-    return static_cast<int>(sys(nr::PSYNCH_CVWAIT, cv_addr, mutex_addr));
-}
-
-int
-LibSystem::pthreadCondSignal(std::uint64_t cv_addr)
-{
-    return static_cast<int>(sys(nr::PSYNCH_CVSIGNAL, cv_addr));
-}
-
-int
-LibSystem::pthreadCondBroadcast(std::uint64_t cv_addr)
-{
-    return static_cast<int>(sys(nr::PSYNCH_CVBROAD, cv_addr));
-}
-
 xnu::mach_port_name_t
 LibSystem::machPortAllocate(xnu::PortRight right)
 {
@@ -74,26 +54,6 @@ LibSystem::machPortDestroy(xnu::mach_port_name_t name)
     return static_cast<xnu::kern_return_t>(
         mach(mnr::PORT_DESTROY,
              kernel::makeArgs(static_cast<std::uint64_t>(name)))
-            .value);
-}
-
-xnu::kern_return_t
-LibSystem::machPortDeallocate(xnu::mach_port_name_t name)
-{
-    return static_cast<xnu::kern_return_t>(
-        mach(mnr::PORT_DEALLOCATE,
-             kernel::makeArgs(static_cast<std::uint64_t>(name)))
-            .value);
-}
-
-xnu::kern_return_t
-LibSystem::machPortInsertRight(xnu::mach_port_name_t name,
-                               xnu::MsgDisposition disposition)
-{
-    return static_cast<xnu::kern_return_t>(
-        mach(mnr::PORT_INSERT_RIGHT,
-             kernel::makeArgs(static_cast<std::uint64_t>(name),
-                              static_cast<std::uint64_t>(disposition)))
             .value);
 }
 
@@ -142,17 +102,6 @@ LibSystem::bootstrapPort()
 {
     return static_cast<xnu::mach_port_name_t>(
         mach(mnr::GET_BOOTSTRAP_PORT, kernel::makeArgs()).value);
-}
-
-xnu::kern_return_t
-LibSystem::machPortSetInsert(xnu::mach_port_name_t set_name,
-                             xnu::mach_port_name_t member)
-{
-    return static_cast<xnu::kern_return_t>(
-        mach(mnr::PORT_SET_INSERT,
-             kernel::makeArgs(static_cast<std::uint64_t>(set_name),
-                              static_cast<std::uint64_t>(member)))
-            .value);
 }
 
 xnu::kern_return_t

@@ -41,18 +41,11 @@ class LibSystem : public persona::Libc
     /// @{ psynch-backed pthread operations.
     int pthreadMutexLock(std::uint64_t mutex_addr);
     int pthreadMutexUnlock(std::uint64_t mutex_addr);
-    int pthreadCondWait(std::uint64_t cv_addr, std::uint64_t mutex_addr);
-    int pthreadCondSignal(std::uint64_t cv_addr);
-    int pthreadCondBroadcast(std::uint64_t cv_addr);
     /// @}
 
     /// @{ Mach layer.
     xnu::mach_port_name_t machPortAllocate(xnu::PortRight right);
     xnu::kern_return_t machPortDestroy(xnu::mach_port_name_t name);
-    xnu::kern_return_t machPortDeallocate(xnu::mach_port_name_t name);
-    xnu::kern_return_t
-    machPortInsertRight(xnu::mach_port_name_t name,
-                        xnu::MsgDisposition disposition);
     xnu::kern_return_t machMsgSend(xnu::MachMessage &msg);
     xnu::kern_return_t machMsgReceive(xnu::mach_port_name_t name,
                                       xnu::MachMessage &out,
@@ -60,9 +53,6 @@ class LibSystem : public persona::Libc
     xnu::mach_port_name_t machTaskSelf();
     xnu::mach_port_name_t machReplyPort();
     xnu::mach_port_name_t bootstrapPort();
-    xnu::kern_return_t
-    machPortSetInsert(xnu::mach_port_name_t set_name,
-                      xnu::mach_port_name_t member);
     xnu::kern_return_t
     requestDeadNameNotification(xnu::mach_port_name_t name,
                                 xnu::mach_port_name_t notify);
@@ -79,7 +69,7 @@ class LibSystem : public persona::Libc
     /// @}
 
   private:
-    kernel::SyscallResult mach(int nr, kernel::SyscallArgs args);
+    kernel::SyscallResult mach(int nr, const kernel::SyscallArgs &args);
 };
 
 } // namespace cider::ios

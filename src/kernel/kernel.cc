@@ -284,7 +284,7 @@ Kernel::reapProcess(Pid pid)
 }
 
 SyscallResult
-Kernel::trap(Thread &t, TrapClass cls, int nr, SyscallArgs args)
+Kernel::trap(Thread &t, TrapClass cls, int nr, const SyscallArgs &args)
 {
     CIDER_SCHED_POINT("trap.enter");
     TrapContext ctx{*this, t, cls, nr, args, t.persona(), t.clock().now()};
@@ -377,7 +377,7 @@ Kernel::sysNull(Thread &)
 }
 
 SyscallResult
-Kernel::sysOpen(Thread &t, const std::string &path, int flags)
+Kernel::sysOpen(Thread &t, std::string_view path, int flags)
 {
     charge(profile_.storageOpenNs);
     Lookup lk = vfs_.lookup(path);
@@ -387,7 +387,7 @@ Kernel::sysOpen(Thread &t, const std::string &path, int flags)
     if (!node) {
         if (!(flags & oflag::CREAT))
             return SyscallResult::failure(lnx::NOENT);
-        SyscallResult r = vfs_.create(path, &node);
+        SyscallResult r = vfs_.create(std::string(path), &node);
         if (!r.ok())
             return r;
     } else if (flags & oflag::TRUNC) {

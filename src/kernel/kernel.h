@@ -221,8 +221,11 @@ class Kernel
      * Kernel entry from user space. Charges the hardware trap cost
      * and routes through the installed dispatcher; delivers pending
      * asynchronous signals on the way out, as a real kernel does.
+     * The caller lends @p args, and the strings and buffers it
+     * points at, until the trap returns.
      */
-    SyscallResult trap(Thread &t, TrapClass cls, int nr, SyscallArgs args);
+    SyscallResult trap(Thread &t, TrapClass cls, int nr,
+                       const SyscallArgs &args);
 
     /** Install @p d; returns the dispatcher it replaces, so a wrapper
      *  can keep it and forward to it. */
@@ -267,7 +270,7 @@ class Kernel
     /// @}
 
     /// @{ Typed syscall implementations (the "Linux" bodies).
-    SyscallResult sysOpen(Thread &t, const std::string &path, int flags);
+    SyscallResult sysOpen(Thread &t, std::string_view path, int flags);
     SyscallResult sysClose(Thread &t, Fd fd);
     SyscallResult sysRead(Thread &t, Fd fd, Bytes &out, std::size_t n);
     SyscallResult sysWrite(Thread &t, Fd fd, const Bytes &data);

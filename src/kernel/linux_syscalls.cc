@@ -35,6 +35,8 @@ Kernel::registerLinuxSyscalls()
                                  *c.args.cbytes(1));
     });
 
+    // open passes the caller's path view down to the dentry cache; the
+    // other path calls copy it into a string of their own.
     tbl.set(sysno::OPEN, "open", [](TrapContext &c, void *) {
         return c.kernel.sysOpen(c.thread, c.args.str(0), c.args.i32(1));
     });
@@ -49,13 +51,13 @@ Kernel::registerLinuxSyscalls()
     });
 
     tbl.set(sysno::UNLINK, "unlink", [](TrapContext &c, void *) {
-        return c.kernel.sysUnlink(c.thread, c.args.str(0));
+        return c.kernel.sysUnlink(c.thread, std::string(c.args.str(0)));
     });
 
     tbl.set(sysno::EXECVE, "execve", [](TrapContext &c, void *) {
         auto *argv =
             static_cast<std::vector<std::string> *>(c.args.ptr(1));
-        return c.kernel.sysExecve(c.thread, c.args.str(0),
+        return c.kernel.sysExecve(c.thread, std::string(c.args.str(0)),
                                   argv ? *argv
                                        : std::vector<std::string>());
     });
@@ -69,11 +71,11 @@ Kernel::registerLinuxSyscalls()
     });
 
     tbl.set(sysno::MKDIR, "mkdir", [](TrapContext &c, void *) {
-        return c.kernel.sysMkdir(c.thread, c.args.str(0));
+        return c.kernel.sysMkdir(c.thread, std::string(c.args.str(0)));
     });
 
     tbl.set(sysno::RMDIR, "rmdir", [](TrapContext &c, void *) {
-        return c.kernel.sysRmdir(c.thread, c.args.str(0));
+        return c.kernel.sysRmdir(c.thread, std::string(c.args.str(0)));
     });
 
     tbl.set(sysno::DUP, "dup", [](TrapContext &c, void *) {
@@ -96,13 +98,13 @@ Kernel::registerLinuxSyscalls()
     });
 
     tbl.set(sysno::STAT, "stat", [](TrapContext &c, void *) {
-        return c.kernel.sysStat(c.thread, c.args.str(0),
+        return c.kernel.sysStat(c.thread, std::string(c.args.str(0)),
                                 static_cast<StatBuf *>(c.args.ptr(1)));
     });
 
     tbl.set(sysno::RENAME, "rename", [](TrapContext &c, void *) {
-        return c.kernel.sysRename(c.thread, c.args.str(0),
-                                  c.args.str(1));
+        return c.kernel.sysRename(c.thread, std::string(c.args.str(0)),
+                                  std::string(c.args.str(1)));
     });
 
     tbl.set(sysno::DUP2, "dup2", [](TrapContext &c, void *) {
@@ -144,7 +146,8 @@ Kernel::registerLinuxSyscalls()
                 c.thread, c.args.i32(0),
                 static_cast<NetAddr>(c.args.u64(1)),
                 static_cast<NetPort>(c.args.u64(2)));
-        return c.kernel.sysBind(c.thread, c.args.i32(0), c.args.str(1));
+        return c.kernel.sysBind(c.thread, c.args.i32(0),
+                                std::string(c.args.str(1)));
     });
 
     tbl.set(sysno::CONNECT, "connect", [](TrapContext &c, void *) {
@@ -154,7 +157,7 @@ Kernel::registerLinuxSyscalls()
                 static_cast<NetAddr>(c.args.u64(1)),
                 static_cast<NetPort>(c.args.u64(2)));
         return c.kernel.sysConnect(c.thread, c.args.i32(0),
-                                   c.args.str(1));
+                                   std::string(c.args.str(1)));
     });
 
     tbl.set(sysno::LISTEN, "listen", [](TrapContext &c, void *) {

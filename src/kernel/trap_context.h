@@ -33,7 +33,8 @@ struct TrapContext
     Thread &thread;
     TrapClass cls;
     int nr;
-    SyscallArgs &args;
+    /** The caller's argument list, lent for the trap. */
+    const SyscallArgs &args;
 
     /** Persona of the calling thread at trap entry (set_persona can
      *  change the thread's persona mid-trap). */

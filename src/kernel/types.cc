@@ -38,15 +38,15 @@ namespace {
 
 template <typename T>
 const T &
-argAs(const std::vector<Arg> &args, std::size_t i)
+argAs(const SyscallArgs &args, std::size_t i)
 {
-    // Foreign user space controls the argument vector, so a missing
+    // Foreign user space controls the argument list, so a missing
     // or mistyped argument is a rejectable request, not an invariant
     // violation: throw for the trap dispatcher to turn into EINVAL.
     if (i >= args.size())
         throw BadSyscallArg("syscall argument " + std::to_string(i) +
                             " out of range");
-    const T *v = std::get_if<T>(&args[i]);
+    const T *v = std::get_if<T>(&args.args[i]);
     if (!v)
         throw BadSyscallArg("syscall argument " + std::to_string(i) +
                             " has wrong type");
@@ -58,49 +58,49 @@ argAs(const std::vector<Arg> &args, std::size_t i)
 std::uint64_t
 SyscallArgs::u64(std::size_t i) const
 {
-    if (i < args.size()) {
+    if (i < count) {
         if (const auto *v = std::get_if<std::uint64_t>(&args[i]))
             return *v;
         if (const auto *v = std::get_if<std::int64_t>(&args[i]))
             return static_cast<std::uint64_t>(*v);
     }
-    return argAs<std::uint64_t>(args, i);
+    return argAs<std::uint64_t>(*this, i);
 }
 
 std::int64_t
 SyscallArgs::i64(std::size_t i) const
 {
-    if (i < args.size()) {
+    if (i < count) {
         if (const auto *v = std::get_if<std::int64_t>(&args[i]))
             return *v;
         if (const auto *v = std::get_if<std::uint64_t>(&args[i]))
             return static_cast<std::int64_t>(*v);
     }
-    return argAs<std::int64_t>(args, i);
+    return argAs<std::int64_t>(*this, i);
 }
 
-const std::string &
+std::string_view
 SyscallArgs::str(std::size_t i) const
 {
-    return argAs<std::string>(args, i);
+    return argAs<std::string_view>(*this, i);
 }
 
 Bytes *
 SyscallArgs::bytes(std::size_t i) const
 {
-    return argAs<Bytes *>(args, i);
+    return argAs<Bytes *>(*this, i);
 }
 
 const Bytes *
 SyscallArgs::cbytes(std::size_t i) const
 {
-    return argAs<const Bytes *>(args, i);
+    return argAs<const Bytes *>(*this, i);
 }
 
 void *
 SyscallArgs::ptr(std::size_t i) const
 {
-    return argAs<void *>(args, i);
+    return argAs<void *>(*this, i);
 }
 
 } // namespace cider::kernel

@@ -8,11 +8,13 @@
 #define CIDER_KERNEL_TYPES_H
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <variant>
-#include <vector>
 
 #include "base/bytes.h"
 
@@ -73,11 +75,12 @@ struct SyscallResult
 
 /**
  * A syscall argument. The simulator passes structured values instead
- * of user-space pointers; buffers are passed by pointer to host
- * memory owned by the caller.
+ * of user-space pointers. Buffers and strings are lent by the caller
+ * for the duration of the trap: a Bytes pointer or a string_view into
+ * caller-owned memory, never a copy.
  */
 using Arg = std::variant<std::monostate, std::uint64_t, std::int64_t,
-                         double, std::string, Bytes *, const Bytes *,
+                         double, std::string_view, Bytes *, const Bytes *,
                          void *>;
 
 /**
@@ -93,34 +96,43 @@ class BadSyscallArg : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Argument vector handed to syscall handlers. */
+/** Most arguments one trap takes: one per argument register of the
+ *  Linux syscall ABI. */
+inline constexpr std::size_t kMaxSyscallArgs = 6;
+
+/** Argument list handed to syscall handlers, held inline: building
+ *  one allocates nothing, and it is trivially copyable. */
 struct SyscallArgs
 {
-    std::vector<Arg> args;
+    std::array<Arg, kMaxSyscallArgs> args;
+    std::size_t count = 0;
 
     std::uint64_t u64(std::size_t i) const;
     std::int64_t i64(std::size_t i) const;
     int i32(std::size_t i) const { return static_cast<int>(i64(i)); }
-    const std::string &str(std::size_t i) const;
+    /** A view of the caller's string; valid until the trap returns. */
+    std::string_view str(std::size_t i) const;
     Bytes *bytes(std::size_t i) const;
     const Bytes *cbytes(std::size_t i) const;
     void *ptr(std::size_t i) const;
 
-    std::size_t size() const { return args.size(); }
+    std::size_t size() const { return count; }
 };
 
-/** Convenience builder for syscall argument vectors: one allocation
- *  per vector. A one-argument vector skips the reserve; measured on
- *  the set_persona hop, the reserve call costs more than it saves. */
-template <typename... As>
+/** An argument makeArgs can lend to a trap: anything but a
+ *  std::string rvalue, whose bytes would die before a kept
+ *  SyscallArgs is read. */
+template <typename A>
+concept LendableArg = !std::is_same_v<std::remove_cv_t<A>, std::string>;
+
+/** Builds a trap's argument list in place. */
+template <LendableArg... As>
 SyscallArgs
 makeArgs(As &&...as)
 {
-    SyscallArgs sa;
-    if constexpr (sizeof...(As) > 1)
-        sa.args.reserve(sizeof...(As));
-    (sa.args.emplace_back(std::forward<As>(as)), ...);
-    return sa;
+    static_assert(sizeof...(As) <= kMaxSyscallArgs,
+                  "a trap takes at most kMaxSyscallArgs arguments");
+    return SyscallArgs{{Arg(std::forward<As>(as))...}, sizeof...(As)};
 }
 
 /**

@@ -94,16 +94,17 @@ Vfs::rewrite(const std::string &path) const
 }
 
 std::string
-Vfs::rewriteImpl(const std::string &path) const
+Vfs::rewriteImpl(std::string_view path) const
 {
     for (const auto &[prefix, target] : overlays_) {
-        if (path.size() >= prefix.size() &&
-            path.compare(0, prefix.size(), prefix) == 0 &&
+        if (path.starts_with(prefix) &&
             (path.size() == prefix.size() || path[prefix.size()] == '/')) {
-            return target + path.substr(prefix.size());
+            std::string out = target;
+            out += path.substr(prefix.size());
+            return out;
         }
     }
-    return path;
+    return std::string(path);
 }
 
 std::vector<std::string>
@@ -174,14 +175,14 @@ Vfs::walk(std::string_view effective) const
 }
 
 Lookup
-Vfs::lookup(const std::string &path) const
+Vfs::lookup(std::string_view path) const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return lookupImpl(path);
 }
 
 Lookup
-Vfs::lookupImpl(const std::string &path) const
+Vfs::lookupImpl(std::string_view path) const
 {
     // Fault site: a failed lookup models a media/metadata read error
     // (checked before the dentry cache so hits cannot mask it).
@@ -203,7 +204,7 @@ Vfs::lookupImpl(const std::string &path) const
     if (cacheEnabled_ && out.err == 0) {
         if (dentryCache_.size() >= kDentryCacheCap)
             dentryCache_.clear();
-        DentryEntry &entry = dentryCache_[path];
+        DentryEntry &entry = dentryCache_[std::string(path)];
         entry.gen = namespaceGen_;
         entry.result = out;
     }

@@ -107,7 +107,7 @@ class Vfs
     std::string rewrite(const std::string &path) const;
 
     /** Resolve @p path; never creates anything. */
-    Lookup lookup(const std::string &path) const;
+    Lookup lookup(std::string_view path) const;
 
     /** Create all missing directories along @p path. */
     SyscallResult mkdirAll(const std::string &path);
@@ -162,8 +162,8 @@ class Vfs
     /// @{ Unlocked bodies; public entry points take mu_ once and call
     /// these, so internal composition (writeFile → create → lookup)
     /// never re-enters the lock.
-    std::string rewriteImpl(const std::string &path) const;
-    Lookup lookupImpl(const std::string &path) const;
+    std::string rewriteImpl(std::string_view path) const;
+    Lookup lookupImpl(std::string_view path) const;
     SyscallResult createImpl(const std::string &path, InodePtr *out);
     /// @}
 
@@ -188,12 +188,27 @@ class Vfs
     InodePtr root_;
     std::vector<std::pair<std::string, std::string>> overlays_;
 
+    /** Hashes a path key and a path view alike, so a cache probe
+     *  needs no key string. */
+    struct PathHash
+    {
+        using is_transparent = void;
+        std::size_t
+        operator()(std::string_view path) const noexcept
+        {
+            return std::hash<std::string_view>{}(path);
+        }
+    };
+
     /**
      * Dentry cache: original (pre-rewrite) path -> resolved Lookup,
-     * valid only while its generation matches namespaceGen_. Mutable
+     * valid only while its generation matches namespaceGen_. Probed
+     * with the caller's view; only a miss builds a key. Mutable
      * because lookup() is logically const; mu_ covers it.
      */
-    mutable std::unordered_map<std::string, DentryEntry> dentryCache_;
+    mutable std::unordered_map<std::string, DentryEntry, PathHash,
+                               std::equal_to<>>
+        dentryCache_;
     mutable std::uint64_t cacheHits_ = 0;
     mutable std::uint64_t cacheMisses_ = 0;
     std::uint64_t namespaceGen_ = 0;

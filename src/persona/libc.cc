@@ -74,10 +74,9 @@ libcAbi(kernel::Persona p)
 }
 
 SyscallResult
-Libc::trap(int nr, SyscallArgs args)
+Libc::trap(int nr, const SyscallArgs &args)
 {
-    return env_.kernel.trap(env_.thread, abi_.trapClass, nr,
-                            std::move(args));
+    return env_.kernel.trap(env_.thread, abi_.trapClass, nr, args);
 }
 
 std::int64_t

@@ -140,7 +140,7 @@ class Libc
 
   protected:
     /** Trap with this ABI's trap class. */
-    kernel::SyscallResult trap(int nr, kernel::SyscallArgs args);
+    kernel::SyscallResult trap(int nr, const kernel::SyscallArgs &args);
     /** User-side convention: -1 + errno on failure. */
     std::int64_t ret(const kernel::SyscallResult &r);
 

@@ -116,7 +116,7 @@ buildXnuBsdTable(SyscallTable &tbl, const SyscallTable &linux_table,
     // and exec implementations, as the paper does.
     tbl.set(xnuno::POSIX_SPAWN, "posix_spawn",
             [](TrapContext &c, void *) {
-                std::string path = c.args.str(0);
+                std::string path(c.args.str(0));
                 auto *argv_in =
                     static_cast<std::vector<std::string> *>(
                         c.args.ptr(1));

@@ -118,8 +118,9 @@ TEST_P(DentryCacheProperty, RandomScriptNeverServesStaleEntries)
             SyscallResult ro = oracle_.readFile(p, ob);
             ASSERT_EQ(rc.ok(), ro.ok()) << p;
             ASSERT_EQ(rc.err, ro.err) << p;
-            if (rc.ok())
+            if (rc.ok()) {
                 ASSERT_EQ(ca, ob) << p;
+            }
         }
         agree(universe);
     }

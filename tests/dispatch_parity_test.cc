@@ -12,11 +12,18 @@
  * match through the documented Linux->Darwin translation. A table
  * check pins which Linux entry serves each XNU BSD number, and under
  * which Darwin name.
+ *
+ * The argument contract both tables share is pinned here too: an
+ * argument list holds at most six arguments inline and lends the
+ * caller's strings.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <type_traits>
+#include <utility>
 
 #include "base/rng.h"
 #include "hw/device_profile.h"
@@ -31,6 +38,20 @@ namespace cider::kernel {
 namespace {
 
 using persona::PersonaManager;
+
+/** Whether makeArgs compiles with an argument of type @p A. */
+template <typename A>
+constexpr bool kMakeArgsTakes = requires { makeArgs(std::declval<A>()); };
+
+// A string argument is a view of the caller's string, so a temporary
+// one (makeArgs(std::string{})) is refused at compile time: it would
+// die before a kept argument list is read. The list owns no heap
+// memory.
+static_assert(!kMakeArgsTakes<std::string>);
+static_assert(kMakeArgsTakes<std::string &>);
+static_assert(kMakeArgsTakes<const std::string &>);
+static_assert(kMakeArgsTakes<const char *>);
+static_assert(std::is_trivially_copyable_v<SyscallArgs>);
 
 /** One kernel plus the persona stack, trapping via one trap class. */
 struct World
@@ -93,10 +114,10 @@ class DispatchParityTest : public ::testing::Test
 TEST_F(DispatchParityTest, FileLifecycleParity)
 {
     both(sysno::MKDIR, xnu::xnuno::MKDIR,
-         makeArgs(std::string("/tmp")));
+         makeArgs("/tmp"));
     auto [open_l, open_x] =
         both(sysno::OPEN, xnu::xnuno::OPEN,
-             makeArgs(std::string("/tmp/f"),
+             makeArgs("/tmp/f",
                       static_cast<std::int64_t>(oflag::CREAT |
                                                 oflag::RDWR)));
     ASSERT_TRUE(open_l.ok());
@@ -118,14 +139,14 @@ TEST_F(DispatchParityTest, FileLifecycleParity)
 
     both(sysno::CLOSE, xnu::xnuno::CLOSE, makeArgs(fd));
     both(sysno::UNLINK, xnu::xnuno::UNLINK,
-         makeArgs(std::string("/tmp/f")));
+         makeArgs("/tmp/f"));
 }
 
 TEST_F(DispatchParityTest, FdManagementParity)
 {
     auto [open_l, open_x] =
         both(sysno::OPEN, xnu::xnuno::OPEN,
-             makeArgs(std::string("/dup-me"),
+             makeArgs("/dup-me",
                       static_cast<std::int64_t>(oflag::CREAT |
                                                 oflag::RDWR)));
     ASSERT_TRUE(open_l.ok());
@@ -147,7 +168,7 @@ TEST_F(DispatchParityTest, ErrorPathParity)
 {
     // ENOENT open.
     both(sysno::OPEN, xnu::xnuno::OPEN,
-         makeArgs(std::string("/absent"),
+         makeArgs("/absent",
                   static_cast<std::int64_t>(oflag::RDONLY)));
     // EBADF on every fd-taking call.
     both(sysno::CLOSE, xnu::xnuno::CLOSE, makeArgs(std::int64_t{42}));
@@ -157,7 +178,37 @@ TEST_F(DispatchParityTest, ErrorPathParity)
          makeArgs(std::int64_t{42}, &buf, std::uint64_t{8}));
     // ENOTEMPTY-style directory errors.
     both(sysno::RMDIR, xnu::xnuno::RMDIR,
-         makeArgs(std::string("/nonexistent-dir")));
+         makeArgs("/nonexistent-dir"));
+}
+
+TEST(SyscallArgsTest, StringArgumentViewsTheCallersBytes)
+{
+    const std::string path = "/a/path/beyond/the/small/string/buffer";
+    SyscallArgs args = makeArgs(path, std::int64_t{oflag::RDONLY});
+    EXPECT_EQ(args.str(0).data(), path.data());
+    EXPECT_EQ(args.str(0), path);
+    EXPECT_EQ(args.size(), 2u);
+}
+
+TEST(SyscallArgsTest, SixArgumentsFitAndKeepTheirTypes)
+{
+    static_assert(kMaxSyscallArgs == 6);
+    Bytes out;
+    const Bytes in = {1, 2, 3};
+    int cookie = 0;
+    SyscallArgs args =
+        makeArgs(std::uint64_t{1}, std::int64_t{-2}, "three", &out, &in,
+                 static_cast<void *>(&cookie));
+    ASSERT_EQ(args.size(), 6u);
+    EXPECT_EQ(args.u64(0), 1u);
+    EXPECT_EQ(args.i64(1), -2);
+    EXPECT_EQ(args.str(2), "three");
+    EXPECT_EQ(args.bytes(3), &out);
+    EXPECT_EQ(args.cbytes(4), &in);
+    EXPECT_EQ(args.ptr(5), &cookie);
+    // A wrong type or a slot past the count is a bad argument.
+    EXPECT_THROW(args.str(0), BadSyscallArg);
+    EXPECT_THROW(args.u64(6), BadSyscallArg);
 }
 
 TEST_F(DispatchParityTest, ProcessIdentityParity)
@@ -173,7 +224,7 @@ TEST_F(DispatchParityTest, RandomisedFileOpsParity)
     // open / write / lseek / close / unlink keeps both worlds in
     // lockstep at every step.
     Rng rng(0xC1DE);
-    both(sysno::MKDIR, xnu::xnuno::MKDIR, makeArgs(std::string("/r")));
+    both(sysno::MKDIR, xnu::xnuno::MKDIR, makeArgs("/r"));
 
     std::vector<Fd> open_fds;
     for (int step = 0; step < 200; ++step) {

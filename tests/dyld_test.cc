@@ -49,7 +49,7 @@ class OpenRecorder : public kernel::TrapDispatcher
     {
         if (ctx.cls == kernel::TrapClass::XnuBsd &&
             ctx.nr == xnu::xnuno::OPEN)
-            paths.push_back(ctx.args.str(0));
+            paths.emplace_back(ctx.args.str(0));
         return inner_->dispatch(ctx);
     }
 

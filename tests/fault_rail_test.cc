@@ -24,7 +24,9 @@
 #include "kernel/trap_context.h"
 #include "kernel/trap_stats.h"
 #include "persona/persona.h"
+#include "xnu/bsd_syscalls.h"
 #include "xnu/mach_traps.h"
+#include "xnu/xnu_signals.h"
 
 namespace cider::kernel {
 namespace {
@@ -345,6 +347,13 @@ TEST_F(FaultKernelTest, BadSyscallArgBecomesEinvalAndIsCounted)
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.err, lnx::INVAL);
     EXPECT_EQ(kernel_.trapStats().badArgTraps(), 1u);
+    // open(2) whose path is an integer, through the XNU BSD table:
+    // the shared handler's path argument throws the same way.
+    r = trapAs(ios_->mainThread(), TrapClass::XnuBsd, xnu::xnuno::OPEN,
+               makeArgs(std::int64_t{42}, std::int64_t{oflag::RDONLY}));
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.err, xnu::linuxErrnoToXnu(lnx::INVAL));
+    EXPECT_EQ(kernel_.trapStats().badArgTraps(), 2u);
     // The kernel keeps running: a clean trap still works.
     EXPECT_TRUE(trapAs(android_->mainThread(), TrapClass::LinuxSyscall,
                        sysno::NULL_SYSCALL)

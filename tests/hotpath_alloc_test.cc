@@ -15,6 +15,10 @@
  *  - zalloc alloc/free inside the free-listed working set;
  *  - mapping, COW-forking and destroying a launch's dylib images:
  *    only the entry vectors allocate, nothing per image.
+ *  - a trap on a booted Cider kernel: a null syscall and a diplomat's
+ *    persona hop allocate nothing, and the open/close of a cached path
+ *    allocates only the open file and its description (the argument
+ *    list is inline and lends the path).
  *
  * Run under ASan these tests double as lifetime checks on the
  * recycled buffers.
@@ -29,10 +33,15 @@
 #include <string>
 #include <vector>
 
+#include "diplomat/diplomat.h"
 #include "ducttape/xnu_api.h"
 #include "hw/device_profile.h"
+#include "ios/libsystem.h"
+#include "kernel/kernel.h"
 #include "kernel/vfs.h"
 #include "kernel/vm.h"
+#include "persona/persona.h"
+#include "xnu/bsd_syscalls.h"
 #include "xnu/mach_ipc.h"
 
 namespace {
@@ -42,7 +51,10 @@ std::atomic<std::uint64_t> g_allocs{0};
 } // namespace
 
 // Counting overloads: every allocation path funnels through these.
-void *
+// They all stay out of line: where GCC inlines only one side of a
+// new/delete pair, it sees malloc() or free() meet an operator and
+// warns -Wmismatched-new-delete.
+[[gnu::noinline]] void *
 operator new(std::size_t size)
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -52,7 +64,7 @@ operator new(std::size_t size)
     return p;
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t size)
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -62,25 +74,25 @@ operator new[](std::size_t size)
     return p;
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
@@ -219,6 +231,94 @@ TEST(HotPathAlloc, ImageMapForkAndTeardownAllocateNothingPerImage)
     exec();
     EXPECT_EQ(allocsDuring(exec), 1u);
     EXPECT_EQ(vm.statsSnapshot().objectsCreated, 3u * kImages);
+}
+
+/** A booted Cider kernel: the persona dispatcher installed and one iOS
+ *  app whose main thread runs on the calling host thread. */
+class TrapAllocTest : public ::testing::Test
+{
+  protected:
+    TrapAllocTest()
+        : kernel_(hw::DeviceProfile::nexus7()), mgr_(kernel_, ipc_, psynch_)
+    {
+        mgr_.install();
+        app_ = &kernel_.createProcess("iapp", kernel::Persona::Ios);
+    }
+
+    kernel::Kernel kernel_;
+    xnu::MachIpc ipc_;
+    xnu::PsynchSubsystem psynch_;
+    persona::PersonaManager mgr_;
+    kernel::Process *app_ = nullptr;
+};
+
+TEST_F(TrapAllocTest, NullSyscallAndPersonaHopAllocateNothing)
+{
+    kernel::Thread &t = app_->mainThread();
+    kernel::ThreadScope scope(t);
+    binfmt::UserEnv env{kernel_, t, {}};
+    auto null_trap = [&] {
+        ASSERT_TRUE(kernel_
+                        .trap(t, kernel::TrapClass::XnuBsd,
+                              xnu::xnuno::NULL_SYSCALL, kernel::makeArgs())
+                        .ok());
+    };
+    // A diplomat call's round trip: two set_persona traps.
+    auto hop = [&] {
+        diplomat::switchPersona(env, kernel::Persona::Android);
+        diplomat::switchPersona(env, kernel::Persona::Ios);
+    };
+    // Warm-up: this host thread's trap shard comes into being.
+    for (int i = 0; i < 32; ++i) {
+        null_trap();
+        hop();
+    }
+
+    EXPECT_EQ(allocsDuring([&] {
+                  for (int i = 0; i < 1000; ++i)
+                      null_trap();
+              }),
+              0u)
+        << "a null syscall touched the heap";
+    EXPECT_EQ(allocsDuring([&] {
+                  for (int i = 0; i < 1000; ++i)
+                      hop();
+              }),
+              0u)
+        << "a persona hop touched the heap";
+    EXPECT_EQ(t.persona(), kernel::Persona::Ios);
+}
+
+TEST_F(TrapAllocTest, CachedOpenCloseAllocatesOnlyTheOpenFile)
+{
+    // Longer than the small-string buffer, so a copy of the path would
+    // allocate; the leaf is short, so the cached Lookup copy does not.
+    const std::string path = "/tmp/hotpath/alloc.bin";
+    ASSERT_GT(path.size(), 15u);
+    ASSERT_TRUE(kernel_.vfs().mkdirAll("/tmp/hotpath").ok());
+    ASSERT_TRUE(kernel_.vfs().writeFile(path, Bytes(64, 0x5a)).ok());
+
+    // dyld's per-image probe: open and close through libSystem.
+    kernel::Thread &t = app_->mainThread();
+    kernel::ThreadScope scope(t);
+    binfmt::UserEnv env{kernel_, t, {}};
+    ios::LibSystem libc(env);
+    auto open_close = [&] {
+        int fd = libc.open(path, kernel::oflag::RDONLY);
+        ASSERT_GE(fd, 0);
+        ASSERT_EQ(libc.close(fd), 0);
+    };
+    // Warm-up: the dentry entry, the fd slot and the trap shard.
+    for (int i = 0; i < 32; ++i)
+        open_close();
+
+    // Per pair: the RegularFile and its FileDescription, nothing else.
+    EXPECT_EQ(allocsDuring([&] {
+                  for (int i = 0; i < 1000; ++i)
+                      open_close();
+              }),
+              2u * 1000u)
+        << "an open/close pair allocated more than its open file";
 }
 
 } // namespace

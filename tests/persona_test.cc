@@ -132,7 +132,7 @@ TEST_F(PersonaTest, XnuBsdFailureUsesCarryConventionWithDarwinErrno)
     // open() of a missing file without O_CREAT.
     SyscallResult r = kernel_.trap(
         t, TrapClass::XnuBsd, xnu::xnuno::OPEN,
-        kernel::makeArgs(std::string("/missing"), std::int64_t{0}));
+        kernel::makeArgs("/missing", std::int64_t{0}));
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.err, 2); // ENOENT is shared
     // A divergent errno: connect refusal is 111 on Linux, 61 Darwin.
@@ -142,7 +142,7 @@ TEST_F(PersonaTest, XnuBsdFailureUsesCarryConventionWithDarwinErrno)
             .value);
     r = kernel_.trap(t, TrapClass::XnuBsd, xnu::xnuno::CONNECT,
                      kernel::makeArgs(static_cast<std::int64_t>(fd),
-                                      std::string("/nowhere")));
+                                      "/nowhere"));
     EXPECT_EQ(r.err, 61);
 }
 

@@ -82,7 +82,7 @@ TEST_F(TrapStatsTest, ErrorsCountedSeparately)
     SyscallResult r =
         trapAs(android_->mainThread(), TrapClass::LinuxSyscall,
                sysno::OPEN,
-               makeArgs(std::string("/missing"),
+               makeArgs("/missing",
                         static_cast<std::int64_t>(oflag::RDONLY)));
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(stats.calls("linux", sysno::OPEN), 1u);
