@@ -30,7 +30,7 @@ surfaceOf(binfmt::UserEnv &env, std::int64_t id)
 EglState &
 eglState(binfmt::UserEnv &env)
 {
-    return env.process().ext().get<EglState>("egl.state");
+    return env.process().ext().get<EglState>(kernel::ProcessSlot::EglState);
 }
 
 binfmt::LibraryImage

@@ -20,7 +20,7 @@
 
 namespace cider::android {
 
-/** Per-process EGL state (extension key "egl.state"). */
+/** Per-process EGL state (ProcessSlot::EglState). */
 struct EglState
 {
     bool initialised = false;

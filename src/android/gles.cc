@@ -11,15 +11,13 @@ namespace {
 // User-space driver work per GL call (validation, command encode).
 constexpr double kGlCallCycles = 100;
 
-/** Charge and count one call; returns the GL state so that a call
- *  looks it up once. */
+/** Charge one call; returns the GL state so that a call looks it up
+ *  once. */
 GlState &
 chargeCall(binfmt::UserEnv &env)
 {
     charge(env.kernel.profile().cyclesToNs(kGlCallCycles));
-    GlState &st = glState(env);
-    ++st.callCount;
-    return st;
+    return glState(env);
 }
 
 } // namespace
@@ -27,7 +25,7 @@ chargeCall(binfmt::UserEnv &env)
 GlState &
 glState(binfmt::UserEnv &env)
 {
-    return env.process().ext().get<GlState>("gles.state");
+    return env.process().ext().get<GlState>(kernel::ProcessSlot::GlesState);
 }
 
 void

@@ -22,7 +22,7 @@
 
 namespace cider::android {
 
-/** Per-process GL client state (extension key "gles.state"). */
+/** Per-process GL client state (ProcessSlot::GlesState). */
 struct GlState
 {
     int gpuFd = -1;
@@ -32,7 +32,6 @@ struct GlState
     std::uint64_t nextFence = 1;
     std::uint64_t nextName = 1; ///< gen'd texture/buffer names
     std::vector<gpu::GpuCommand> pending;
-    std::uint64_t callCount = 0;
     int lastError = 0;
 };
 

@@ -31,15 +31,6 @@ GpsDevice::ioctl(kernel::Thread &, std::uint64_t req, void *arg)
     return kernel::SyscallResult::success();
 }
 
-void
-GpsDevice::setFix(double latitude, double longitude)
-{
-    latE6_ = static_cast<std::int32_t>(latitude * 1e6);
-    lonE6_ = static_cast<std::int32_t>(longitude * 1e6);
-    setProperty("latE6", std::to_string(latE6_));
-    setProperty("lonE6", std::to_string(lonE6_));
-}
-
 binfmt::LibraryImage
 makeLocationLibrary()
 {

@@ -37,7 +37,6 @@ class GpsDevice : public kernel::Device
     kernel::SyscallResult ioctl(kernel::Thread &t, std::uint64_t req,
                                 void *arg) override;
 
-    void setFix(double latitude, double longitude);
     std::uint64_t fixCount() const { return fixes_; }
 
   private:

@@ -89,7 +89,6 @@ IOBlockStorageDriver::externalMethod(
             drainLocked();
         return xnu::KERN_SUCCESS;
       case blksel::Flush:
-        ++flushes_;
         output.push_back(
             static_cast<std::int64_t>(drainLocked()));
         return xnu::KERN_SUCCESS;

@@ -85,7 +85,6 @@ class IOBlockStorageDriver : public IOService
     std::map<std::int64_t, std::int64_t> store_;
     std::uint64_t completed_ = 0;
     std::uint64_t ioErrors_ = 0;
-    std::uint64_t flushes_ = 0;
 };
 
 } // namespace cider::iokit

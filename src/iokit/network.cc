@@ -184,13 +184,6 @@ IONetworkController::deliver(const kernel::NetFrame &frame)
     stack_.input(frame);
 }
 
-bool
-IONetworkController::linkUp() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return linkUp_;
-}
-
 void
 IONetworkController::setLink(bool up)
 {

@@ -107,7 +107,6 @@ class IONetworkController : public IOService
     const std::string &linuxName() const { return linuxName_; }
     IONetworkInterface *interface() const { return iface_; }
     NicStats stats() const;
-    bool linkUp() const;
     void setLink(bool up);
 
     /**

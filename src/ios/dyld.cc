@@ -62,7 +62,8 @@ Dyld::Dyld(binfmt::LibraryRegistry &libraries, std::string library_dir)
 DyldImages &
 Dyld::images(binfmt::UserEnv &env)
 {
-    return env.process().ext().get<DyldImages>("dyld.images");
+    return env.process().ext().get<DyldImages>(
+        kernel::ProcessSlot::DyldImages);
 }
 
 const binfmt::Symbol *

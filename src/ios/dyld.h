@@ -37,7 +37,7 @@
 
 namespace cider::ios {
 
-/** Per-process table of loaded images (key "dyld.images"). */
+/** Per-process table of loaded images (ProcessSlot::DyldImages). */
 struct DyldImages
 {
     std::vector<const binfmt::LibraryImage *> loaded;

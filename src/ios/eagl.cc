@@ -75,7 +75,8 @@ makeAppleEaglDylib(gpu::SimGpu &gpu)
         int next = 1;
     };
     auto state = [](binfmt::UserEnv &env) -> AppleEagl & {
-        return env.process().ext().get<AppleEagl>("eagl.apple");
+        return env.process().ext().get<AppleEagl>(
+            kernel::ProcessSlot::EaglApple);
     };
 
     lib.exports.add(

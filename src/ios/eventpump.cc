@@ -19,7 +19,6 @@ EventPump::start(binfmt::UserEnv &app_env, const std::string &socket_path,
         warn("eventpump: cannot connect to ", socket_path);
         return false;
     }
-    connected_ = true;
     if (auto desc = app_env.process().fds().get(fd))
         socket_ = desc->file;
 
@@ -38,8 +37,7 @@ EventPump::start(binfmt::UserEnv &app_env, const std::string &socket_path,
                     xnu::MsgDisposition::MakeSend;
                 msg.header.msgId = msg_id;
                 msg.body = std::move(body);
-                if (libc.machMsgSend(msg) == xnu::KERN_SUCCESS)
-                    ++pumped_;
+                libc.machMsgSend(msg);
             };
 
             Bytes buffer;

@@ -12,7 +12,6 @@
 #ifndef CIDER_IOS_EVENTPUMP_H
 #define CIDER_IOS_EVENTPUMP_H
 
-#include <atomic>
 #include <memory>
 #include <thread>
 
@@ -56,13 +55,9 @@ class EventPump
      */
     void stop();
 
-    std::uint64_t eventsPumped() const { return pumped_; }
-
   private:
     std::thread thread_;
     std::shared_ptr<kernel::OpenFile> socket_;
-    std::atomic<std::uint64_t> pumped_{0};
-    std::atomic<bool> connected_{false};
 };
 
 } // namespace cider::ios

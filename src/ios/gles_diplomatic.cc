@@ -66,7 +66,7 @@ struct AggState
 AggState &
 aggState(binfmt::UserEnv &env)
 {
-    return env.process().ext().get<AggState>("gles.agg");
+    return env.process().ext().get<AggState>(kernel::ProcessSlot::GlesAgg);
 }
 
 /** One persona round trip replaying every queued call natively. */

@@ -142,7 +142,6 @@ UIApplication::dispatch(const xnu::MachMessage &msg)
               return;
           }
           Touch t = touchFromMotionEvent(ev);
-          ++touches_;
           if (onTouch)
               onTouch(*this, t);
           for (const auto &rec : recognizers_)

@@ -144,7 +144,6 @@ class UIApplication
     void dispatch(const xnu::MachMessage &msg);
 
     bool paused() const { return paused_; }
-    std::uint64_t touchesDelivered() const { return touches_; }
 
     binfmt::UserEnv &env() { return env_; }
     LibSystem &libc() { return libc_; }
@@ -155,7 +154,6 @@ class UIApplication
     std::vector<std::unique_ptr<GestureRecognizer>> recognizers_;
     bool paused_ = false;
     bool quit_ = false;
-    std::uint64_t touches_ = 0;
 };
 
 } // namespace cider::ios

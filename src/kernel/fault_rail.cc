@@ -252,13 +252,6 @@ FaultRail::snapshot() const
     return out;
 }
 
-std::size_t
-FaultRail::siteCount() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return sites_.size();
-}
-
 void
 FaultRail::resetCounters()
 {

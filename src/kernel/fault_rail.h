@@ -143,7 +143,6 @@ class FaultRail
     /** Total trips across all sites (storm accounting). */
     std::uint64_t totalTrips() const;
     std::vector<FaultSiteStats> snapshot() const;
-    std::size_t siteCount() const;
     /// @}
 
     /** Zero hit/trip counters; leaves arming untouched. */

@@ -680,7 +680,6 @@ void InetSocket::absorbAckLocked(const NetFrame &frame,
         if (++dupAcks_ == 2)
             retransmitLocked(replies);
     }
-    lastAckSeen_ = ack;
     // A window-reopen update (the peer drained its receive buffer)
     // releases queued bytes right away; recursion stays bounded
     // because steady-state ack advances never emit data from here.

@@ -278,7 +278,6 @@ class InetSocket : public OpenFile,
     bool finSent_ = false;
     bool finAcked_ = false;
     std::uint32_t finSeq_ = 0;
-    std::uint32_t lastAckSeen_ = 0;
     int dupAcks_ = 0;
     std::uint32_t lastPumpUna_ = 0;
     int stalePumps_ = 0;
@@ -292,7 +291,6 @@ class InetSocket : public OpenFile,
     bool peerFin_ = false;         // FIN consumed at rcvNext_
     bool peerFinSeen_ = false;     // FIN seq recorded (maybe early)
     std::uint32_t peerFinSeq_ = 0;
-    std::uint32_t lastAdvertised_ = 0;
     bool rdShut_ = false;
 
     // --- listener ---

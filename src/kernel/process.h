@@ -39,6 +39,24 @@ enum class BinaryFormat
  */
 using AddressSpace = VmMap;
 
+/**
+ * The per-process module states, one slot each (Process::ext()). The
+ * set is closed: a module that keeps per-process state adds its slot
+ * here and reads it through one accessor.
+ */
+enum class ProcessSlot
+{
+    GlesState,     ///< android::GlState (glState)
+    EglState,      ///< android::EglState (eglState)
+    EaglApple,     ///< the Apple EAGL context table (ios/eagl.cc)
+    GlesAgg,       ///< the aggregating GL library's queue (aggState)
+    DyldImages,    ///< ios::DyldImages (Dyld::images)
+    MachTask,      ///< xnu::MachTaskState (machTask)
+    BionicLibc,    ///< bionic's persona::LibcState (Libc::state)
+    LibSystemLibc, ///< libSystem's persona::LibcState (Libc::state)
+    Count,
+};
+
 /** Main-entry callable bound by a binary loader. */
 using EntryFn = std::function<int(Thread &)>;
 
@@ -76,7 +94,8 @@ class Process
     FdTable &fds() { return fds_; }
     SignalState &signals() { return signals_; }
     ProcessImage &image() { return image_; }
-    ExtMap &ext() { return ext_; }
+    /** Per-process module state; exec clears it. */
+    ExtSlots<ProcessSlot> &ext() { return ext_; }
 
     /** Create a thread in this process (persona is inherited state). */
     Thread &createThread(Persona persona);
@@ -105,7 +124,7 @@ class Process
     FdTable fds_;
     SignalState signals_;
     ProcessImage image_;
-    ExtMap ext_;
+    ExtSlots<ProcessSlot> ext_;
     std::vector<std::unique_ptr<Thread>> threads_;
     Tid nextTid_ = 1;
 

@@ -51,49 +51,7 @@ Thread::pendingSignalCount() const
     return pendingCount_.load(std::memory_order_relaxed);
 }
 
-void *
-ExtMap::lookup(std::string_view key) const
-{
-    // Pairs with the release store in insert(): a table's slots are
-    // complete before its pointer is visible.
-    const Table *table = table_.load(std::memory_order_acquire);
-    if (table)
-        for (const Slot &slot : *table)
-            if (std::string_view(slot.key) == key)
-                return slot.value;
-    return nullptr;
-}
-
-void *
-ExtMap::insert(std::string_view key, std::shared_ptr<void> (*make)())
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    // A racing first caller may have inserted the key while we waited.
-    if (void *value = lookup(key))
-        return value;
-    const Table *old = table_.load(std::memory_order_relaxed);
-    auto table = std::make_unique<Table>();
-    table->reserve((old ? old->size() : 0) + 1);
-    if (old)
-        *table = *old;
-    std::shared_ptr<void> value = make();
-    table->push_back({std::string(key), value.get()});
-    values_.push_back(std::move(value));
-    // The old table is retired, not freed: a reader may still hold it.
-    tables_.push_back(std::move(table));
-    table_.store(tables_.back().get(), std::memory_order_release);
-    return values_.back().get();
-}
-
-void
-ExtMap::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    table_.store(nullptr, std::memory_order_release);
-    values_.clear();
-}
-
-ExtMap &
+ExtSlots<ThreadSlot> &
 Thread::ext()
 {
     const void *owner = activeHost_.load(std::memory_order_acquire);

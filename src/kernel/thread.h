@@ -13,13 +13,11 @@
 #ifndef CIDER_KERNEL_THREAD_H
 #define CIDER_KERNEL_THREAD_H
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <deque>
-#include <memory>
 #include <mutex>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "base/cost_clock.h"
 #include "kernel/signals.h"
@@ -30,77 +28,85 @@ namespace cider::kernel {
 class Process;
 
 /**
- * Extension-state map modules use to hang per-object state.
+ * Per-object module state: one slot per state a module keeps, indexed
+ * by the closed enum @p Slot (ProcessSlot, ThreadSlot).
  *
- * The traffic is read-mostly: a few first-use inserts per object and
- * one clear() per exec, against several lookups per diplomatic GL call
- * and one per Mach trap. So the slots live in an immutable table
- * published through one atomic pointer: a lookup is an acquire load
- * and a scan of string_view keys, with no lock, no key string built
- * and no refcount touched. A first-use insert and clear() serialize on
- * a writer mutex, build a new table and publish it with a release
- * store; first callers that race in get() resolve to one shared value.
- * A replaced table stays allocated until the map is destroyed, since a
- * reader may still be scanning it (DESIGN.md section 11). Values are
- * owned apart from the tables, and clear() drops them.
+ * A slot is one atomic pointer to a boxed value. A read is an acquire
+ * load and an index; the first get() of a slot value-initialises its
+ * state and installs it with one compare-exchange, and first callers
+ * that race resolve to the winner's value (a loser deletes its own
+ * copy, so a state's default constructor must have no side effects).
+ * clear() empties every slot (exec) and deletes the values; a
+ * reference get() returned before it dangles after it. See DESIGN.md
+ * section 11.
  *
- * The returned values themselves are NOT locked: each value follows
- * its owner's serialization (per-thread state is only touched by the
- * host thread simulating that thread — see Thread::ext(); per-process
- * state is shared and must carry its own synchronisation if mutated
- * concurrently).
+ * Each slot holds one type, fixed by the one accessor that reads it;
+ * get<T>() does not check it. The values themselves are NOT locked:
+ * each follows its owner's serialization (per-thread state is only
+ * touched by the host thread simulating that thread — see
+ * Thread::ext(); per-process state is shared and must carry its own
+ * synchronisation if mutated concurrently).
  */
-class ExtMap
+template <typename Slot>
+class ExtSlots
 {
   public:
-    /** Fetch (default-constructing on first use) typed state. */
+    ExtSlots() = default;
+    ExtSlots(const ExtSlots &) = delete;
+    ExtSlots &operator=(const ExtSlots &) = delete;
+    ~ExtSlots() { clear(); }
+
+    /** The state in @p slot, value-initialised on first use. */
     template <typename T>
     T &
-    get(std::string_view key)
+    get(Slot slot)
     {
-        void *value = lookup(key);
-        if (!value)
-            value = insert(key, &makeValue<T>);
-        return *static_cast<T *>(value);
+        std::atomic<Box *> &cell = slots_[static_cast<std::size_t>(slot)];
+        Box *box = cell.load(std::memory_order_acquire);
+        if (!box) {
+            auto *fresh = new Value<T>();
+            if (cell.compare_exchange_strong(box, fresh,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_acquire))
+                box = fresh;
+            else
+                delete fresh; // a racing first caller installed first
+        }
+        return static_cast<Value<T> *>(box)->value;
     }
 
-    /** Peek without creating. */
-    template <typename T>
-    T *
-    find(std::string_view key) const
+    /** Drop every value; the next get() of a slot creates it afresh. */
+    void
+    clear()
     {
-        return static_cast<T *>(lookup(key));
+        for (std::atomic<Box *> &cell : slots_)
+            delete cell.exchange(nullptr, std::memory_order_acq_rel);
     }
-
-    /** Drop every value; the next get() of a key creates it afresh. */
-    void clear();
 
   private:
-    struct Slot
+    struct Box
     {
-        std::string key;
-        void *value;
+        Box() = default;
+        Box(const Box &) = delete;
+        Box &operator=(const Box &) = delete;
+        virtual ~Box() = default;
     };
-    using Table = std::vector<Slot>;
-
     template <typename T>
-    static std::shared_ptr<void>
-    makeValue()
+    struct Value : Box
     {
-        return std::make_shared<T>();
-    }
+        T value{};
+    };
 
-    void *lookup(std::string_view key) const;
-    void *insert(std::string_view key, std::shared_ptr<void> (*make)());
+    std::array<std::atomic<Box *>, static_cast<std::size_t>(Slot::Count)>
+        slots_{};
+};
 
-    /** The published table; null when empty. */
-    std::atomic<const Table *> table_{nullptr};
-    /** Writers only (insert, clear); a lookup never takes it. */
-    std::mutex mu_;
-    /** Every table ever published, freed only with the map. */
-    std::vector<std::unique_ptr<const Table>> tables_;
-    /** Owners of the published table's values. */
-    std::vector<std::shared_ptr<void>> values_;
+/** The per-thread states, one slot each (Thread::ext()). */
+enum class ThreadSlot
+{
+    PersonaTls,  ///< persona::ThreadTls, the per-persona TLS areas
+    PersonaMdep, ///< the machine-dependent trap table's TLS base
+    Count,
 };
 
 class Thread
@@ -144,7 +150,7 @@ class Thread
     /// @}
 
     /**
-     * Per-thread module extension state (TLS areas, Mach self port).
+     * Per-thread module state (the persona's TLS areas and TLS base).
      *
      * Single-owner contract: while a host thread holds a ThreadScope
      * binding this thread, only that host thread may touch ext().
@@ -152,7 +158,7 @@ class Thread
      * extension values are deliberately unlocked, so a cross-host
      * access would be a silent data race.
      */
-    ExtMap &ext();
+    ExtSlots<ThreadSlot> &ext();
 
     /** The thread the calling host thread is currently simulating. */
     static Thread *current();
@@ -167,7 +173,7 @@ class Thread
     /** pending_.size(), written under sigMu_ and read without it, so
      *  a trap exit with nothing queued takes no lock. */
     std::atomic<std::size_t> pendingCount_{0};
-    ExtMap ext_;
+    ExtSlots<ThreadSlot> ext_;
     /** Host-thread marker of the ThreadScope currently simulating
      *  this thread (null when not being simulated). */
     std::atomic<const void *> activeHost_{nullptr};

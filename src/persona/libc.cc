@@ -20,7 +20,7 @@ namespace xnr = xnu::xnuno;
 constexpr LibcAbi kBionicAbi{
     .trapClass = kernel::TrapClass::LinuxSyscall,
     .errnoArea = kernel::Persona::Android,
-    .stateKey = "bionic.state",
+    .stateSlot = kernel::ProcessSlot::BionicLibc,
     .handlerCycles = 0,
     .nr = {.open = lnr::OPEN, .close = lnr::CLOSE, .read = lnr::READ,
            .write = lnr::WRITE, .dup = lnr::DUP, .pipe = lnr::PIPE,
@@ -46,7 +46,7 @@ constexpr LibcAbi kBionicAbi{
 constexpr LibcAbi kLibSystemAbi{
     .trapClass = kernel::TrapClass::XnuBsd,
     .errnoArea = kernel::Persona::Ios,
-    .stateKey = "libsystem.state",
+    .stateSlot = kernel::ProcessSlot::LibSystemLibc,
     .handlerCycles = 16000,
     .nr = {.open = xnr::OPEN, .close = xnr::CLOSE, .read = xnr::READ,
            .write = xnr::WRITE, .dup = xnr::DUP, .pipe = xnr::PIPE,
@@ -92,7 +92,7 @@ Libc::ret(const SyscallResult &r)
 LibcState &
 Libc::state()
 {
-    return env_.process().ext().get<LibcState>(abi_.stateKey);
+    return env_.process().ext().get<LibcState>(abi_.stateSlot);
 }
 
 int

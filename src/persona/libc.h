@@ -28,7 +28,7 @@
 namespace cider::persona {
 
 /** Per-process libc runtime state: the atexit and pthread_atfork
- *  registries (ExtMap key LibcAbi::stateKey). dyld registers one
+ *  registries (process slot LibcAbi::stateSlot). dyld registers one
  *  exit callback per loaded image, and iOS libraries install many
  *  atfork callbacks. */
 struct LibcState
@@ -49,8 +49,8 @@ struct LibcAbi
     kernel::TrapClass trapClass;
     /** The persona whose TLS area receives errno. */
     kernel::Persona errnoArea;
-    /** ExtMap key of the process's LibcState. */
-    const char *stateKey;
+    /** The process slot of this libc's LibcState. */
+    kernel::ProcessSlot stateSlot;
     /** CPU cycles charged per atexit/atfork handler invocation. */
     double handlerCycles;
     /** The syscall number of each shared call. */

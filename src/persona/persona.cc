@@ -18,12 +18,17 @@ using kernel::TrapContext;
 
 namespace {
 
-/** Per-thread machine-dependent state ("persona.mdep"). */
+/** Per-thread machine-dependent state. */
 struct MdepState
 {
     std::uint64_t tlsBase = 0; ///< user cthread/TLS base register
-    std::uint64_t icacheFlushes = 0;
 };
+
+MdepState &
+mdepState(Thread &t)
+{
+    return t.ext().get<MdepState>(kernel::ThreadSlot::PersonaMdep);
+}
 
 /** The machine-dependent trap table: tiny register-level services
  *  that never reach the BSD or Mach layers on real XNU either. */
@@ -31,24 +36,18 @@ void
 buildMdepTable(SyscallTable &tbl)
 {
     tbl.set(mdepno::ICACHE_FLUSH, "icache_flush",
-            [](TrapContext &c, void *) {
-                auto &st = c.thread.ext().get<MdepState>("persona.mdep");
-                ++st.icacheFlushes;
-                return SyscallResult::success();
-            });
+            [](TrapContext &, void *) { return SyscallResult::success(); });
 
     tbl.set(mdepno::SET_TLS_BASE, "set_tls_base",
             [](TrapContext &c, void *) {
-                auto &st = c.thread.ext().get<MdepState>("persona.mdep");
-                st.tlsBase = c.args.u64(0);
+                mdepState(c.thread).tlsBase = c.args.u64(0);
                 return SyscallResult::success();
             });
 
     tbl.set(mdepno::GET_TLS_BASE, "get_tls_base",
             [](TrapContext &c, void *) {
-                auto &st = c.thread.ext().get<MdepState>("persona.mdep");
                 return SyscallResult::success(
-                    static_cast<std::int64_t>(st.tlsBase));
+                    static_cast<std::int64_t>(mdepState(c.thread).tlsBase));
             });
 }
 

@@ -49,14 +49,6 @@ TlsArea::setErrno(int err)
     std::memcpy(data_.data() + layout_->errnoOffset, &err, sizeof(err));
 }
 
-std::uint64_t
-TlsArea::threadId() const
-{
-    std::uint64_t v = 0;
-    std::memcpy(&v, data_.data() + layout_->threadIdOffset, sizeof(v));
-    return v;
-}
-
 void
 TlsArea::setThreadId(std::uint64_t tid)
 {
@@ -89,7 +81,7 @@ ThreadTls::activate(kernel::Persona p)
 ThreadTls &
 ThreadTls::of(kernel::Thread &t)
 {
-    ThreadTls &tls = t.ext().get<ThreadTls>("persona.tls");
+    ThreadTls &tls = t.ext().get<ThreadTls>(kernel::ThreadSlot::PersonaTls);
     if (!tls.initialised_) {
         tls.active_ = t.persona();
         tls.initialised_ = true;
@@ -97,18 +89,6 @@ ThreadTls::of(kernel::Thread &t)
             static_cast<std::uint64_t>(t.tid()));
     }
     return tls;
-}
-
-int
-currentErrno(kernel::Thread &t)
-{
-    return ThreadTls::of(t).active().errnoValue();
-}
-
-void
-setCurrentErrno(kernel::Thread &t, int err)
-{
-    ThreadTls::of(t).active().setErrno(err);
 }
 
 } // namespace cider::persona

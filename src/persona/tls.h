@@ -47,7 +47,6 @@ class TlsArea
     int errnoValue() const;
     void setErrno(int err);
 
-    std::uint64_t threadId() const;
     void setThreadId(std::uint64_t tid);
 
     const TlsLayout &layout() const { return *layout_; }
@@ -59,7 +58,7 @@ class TlsArea
 
 /**
  * All TLS areas of one thread plus the active-area pointer. Stored in
- * the thread extension map under "persona.tls".
+ * the thread's ThreadSlot::PersonaTls slot.
  */
 class ThreadTls
 {
@@ -83,10 +82,6 @@ class ThreadTls
     kernel::Persona active_ = kernel::Persona::Android;
     bool initialised_ = false;
 };
-
-/** Read/write errno in the *active* TLS area of @p t. */
-int currentErrno(kernel::Thread &t);
-void setCurrentErrno(kernel::Thread &t, int err);
 
 } // namespace cider::persona
 

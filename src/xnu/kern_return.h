@@ -45,9 +45,6 @@ inline constexpr kern_return_t MACH_RCV_PORT_DIED = 0x10004008;
 inline constexpr kern_return_t MACH_RCV_PORT_CHANGED = 0x10004006;
 /// @}
 
-/** Human-readable name for diagnostics. */
-const char *kernReturnName(kern_return_t kr);
-
 /** Darwin errno values (the foreign user space's vocabulary). */
 namespace derr {
 

@@ -13,7 +13,8 @@ using kernel::TrapContext;
 MachTaskState &
 machTask(MachIpc &ipc, kernel::Process &proc)
 {
-    MachTaskState &state = proc.ext().get<MachTaskState>("mach.task");
+    MachTaskState &state = proc.ext().get<MachTaskState>(
+        kernel::ProcessSlot::MachTask);
     if (!state.space) {
         state.space = ipc.createSpace();
         // Every task owns a task-self receive port, as on XNU.

@@ -67,8 +67,8 @@ inline constexpr std::uint64_t SEND_TIMEOUT = 0x8;
 } // namespace machmsg
 
 /**
- * Per-task Mach state, stored in the process extension map under
- * "mach.task". Created lazily on first Mach interaction; the system
+ * Per-task Mach state, stored in the process's ProcessSlot::MachTask
+ * slot. Created lazily on first Mach interaction; the system
  * layer grafts the bootstrap send right in at task creation.
  */
 struct MachTaskState

@@ -123,7 +123,12 @@ TEST_F(ProcessTest, ExecveReplacesImage)
     // Install a trivial ELF the kernel can load.
     kernel::Kernel *k = &kernel_;
     static binfmt::ProgramRegistry registry;
-    registry.add("exec.child", [](binfmt::UserEnv &) { return 21; });
+    registry.add("exec.child", [](binfmt::UserEnv &env) {
+        // exec dropped the old image's process and thread state.
+        EXPECT_EQ(env.process().ext().get<int>(ProcessSlot::GlesAgg), 0);
+        EXPECT_EQ(env.thread.ext().get<int>(ThreadSlot::PersonaMdep), 0);
+        return 21;
+    });
     k->registerLoader(std::make_unique<binfmt::ElfLoader>(
         registry, binfmt::ElfBootstrap{}));
 
@@ -132,6 +137,8 @@ TEST_F(ProcessTest, ExecveReplacesImage)
     kernel_.vfs().writeFile("/system/bin/child", builder.build());
 
     SyscallResult r = kernel_.sysFork(*thread_, [k](Thread &child) {
+        child.process().ext().get<int>(ProcessSlot::GlesAgg) = 5;
+        child.ext().get<int>(ThreadSlot::PersonaMdep) = 7;
         kernel::SyscallResult er =
             k->sysExecve(child, "/system/bin/child", {"child"});
         // On success execve never returns.
@@ -171,18 +178,20 @@ TEST_F(ProcessTest, ChildInheritsPersona)
     EXPECT_EQ(child->mainThread().persona(), Persona::Ios);
 }
 
-TEST_F(ProcessTest, ExtMapIsTypedAndSticky)
+TEST_F(ProcessTest, StateSlotsAreStickyAndIndependent)
 {
     struct Counter
     {
-        int value = 0;
+        int value = 7;
     };
-    proc_->ext().get<Counter>("c").value = 41;
-    EXPECT_EQ(proc_->ext().get<Counter>("c").value, 41);
-    EXPECT_EQ(proc_->ext().find<Counter>("missing"), nullptr);
-    proc_->ext().clear();
-    EXPECT_EQ(proc_->ext().find<Counter>("c"), nullptr);
-    EXPECT_EQ(proc_->ext().get<Counter>("c").value, 0);
+    ExtSlots<ProcessSlot> &ext = proc_->ext();
+    ext.get<Counter>(ProcessSlot::GlesAgg).value = 41;
+    EXPECT_EQ(ext.get<Counter>(ProcessSlot::GlesAgg).value, 41);
+    EXPECT_EQ(ext.get<Counter>(ProcessSlot::MachTask).value, 7);
+    EXPECT_NE(&ext.get<Counter>(ProcessSlot::MachTask),
+              &ext.get<Counter>(ProcessSlot::GlesAgg));
+    ext.clear();
+    EXPECT_EQ(ext.get<Counter>(ProcessSlot::GlesAgg).value, 7);
 }
 
 TEST_F(ProcessTest, AddressSpaceAccounting)

@@ -4,15 +4,17 @@
  * report bit-identical virtual time to the serialized 1-thread run),
  * executor work stealing, the SchedRail collapse, per-host-thread
  * trap bookkeeping under concurrent traps and readers, and the
- * ExtMap's lock-free lookups and single-owner contract.
+ * state slots' racing first use and single-owner contract.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <latch>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -468,79 +470,95 @@ TEST(PerCpuSmpTest, ShardedTrapsShortLivedHostThreadsReuseAShard)
 TEST(PerCpuSmpTest, ExtMapConcurrentLazyGetResolvesToOneSlot)
 {
     Kernel k(hw::DeviceProfile::nexus7());
-    Process &p = k.createProcess("shared");
-    constexpr unsigned kThreads = 8;
-    std::vector<int *> seen(kThreads, nullptr);
-    std::vector<std::thread> hosts;
-    for (unsigned i = 0; i < kThreads; ++i)
-        hosts.emplace_back([&p, &seen, i] {
-            // Process-level ext state is shared; the map structure
-            // must serialize the racing first-use population.
-            seen[i] = &p.ext().get<int>("smp.slot");
-        });
-    for (std::thread &h : hosts)
-        h.join();
-    for (unsigned i = 1; i < kThreads; ++i)
-        EXPECT_EQ(seen[i], seen[0]);
+    constexpr unsigned kHosts = 8;
+    constexpr unsigned kRounds = 16;
+    constexpr auto kSlots = static_cast<unsigned>(ProcessSlot::Count);
+    auto slot = [](unsigned s) { return static_cast<ProcessSlot>(s); };
+    // One race is lost or won within a few hundred nanoseconds, so
+    // each round races a fresh process's slots again.
+    for (unsigned round = 0; round < kRounds; ++round) {
+        Process &p = k.createProcess("shared");
+        std::vector<std::array<int *, kSlots>> seen(kHosts);
+        std::latch start(kHosts);
+        std::vector<std::thread> hosts;
+        for (unsigned h = 0; h < kHosts; ++h)
+            hosts.emplace_back([&, h] {
+                // Each host starts at a different slot, so every
+                // slot's first use races with the hosts that reach it
+                // next.
+                start.arrive_and_wait();
+                for (unsigned n = 0; n < kSlots; ++n) {
+                    unsigned s = (h + n) % kSlots;
+                    seen[h][s] = &p.ext().get<int>(slot(s));
+                }
+            });
+        for (std::thread &t : hosts)
+            t.join();
+
+        std::set<int *> distinct;
+        for (unsigned s = 0; s < kSlots; ++s) {
+            for (unsigned h = 1; h < kHosts; ++h)
+                ASSERT_EQ(seen[h][s], seen[0][s])
+                    << "round " << round << ", slot " << s;
+            distinct.insert(seen[0][s]);
+        }
+        EXPECT_EQ(distinct.size(), kSlots);
+    }
 }
 
 TEST(PerCpuSmpTest, ExtMapLookupsRacingInsertsSeeTheirOwnValues)
 {
     Kernel k(hw::DeviceProfile::nexus7());
-    Process &p = k.createProcess("shared");
     struct Tag
     {
         int id = -1;
     };
-    constexpr int kReaders = 4;
-    constexpr int kInserts = 200;
-    auto readerKey = [](int i) { return "reader." + std::to_string(i); };
-    auto insertKey = [](int n) { return "inserted." + std::to_string(n); };
-    for (int i = 0; i < kReaders; ++i)
-        p.ext().get<Tag>(readerKey(i)).id = i;
+    constexpr auto kSlots = static_cast<unsigned>(ProcessSlot::Count);
+    constexpr unsigned kReaders = kSlots / 2;
+    constexpr unsigned kRounds = 16;
+    auto slot = [](unsigned s) { return static_cast<ProcessSlot>(s); };
+    for (unsigned round = 0; round < kRounds; ++round) {
+        Process &p = k.createProcess("shared");
+        for (unsigned s = 0; s < kReaders; ++s)
+            p.ext().get<Tag>(slot(s)).id = static_cast<int>(s);
 
-    // Four readers look their keys up while a fifth host thread keeps
-    // inserting: each insert publishes a new table under the readers.
-    std::atomic<bool> inserted{false};
-    std::atomic<unsigned> wrong{0};
-    std::latch start(kReaders + 1);
-    std::vector<std::thread> hosts;
-    for (int i = 0; i < kReaders; ++i)
-        hosts.emplace_back([&, i] {
-            const std::string key = readerKey(i);
-            Tag *own = p.ext().find<Tag>(key);
+        // Each reader looks its own slot up while a further host
+        // thread makes the first use of every other slot.
+        std::atomic<bool> inserted{false};
+        std::atomic<unsigned> wrong{0};
+        std::latch start(kReaders + 1);
+        std::vector<std::thread> hosts;
+        for (unsigned r = 0; r < kReaders; ++r)
+            hosts.emplace_back([&, r] {
+                Tag *own = &p.ext().get<Tag>(slot(r));
+                start.arrive_and_wait();
+                do {
+                    Tag &got = p.ext().get<Tag>(slot(r));
+                    if (&got != own || got.id != static_cast<int>(r))
+                        wrong.fetch_add(1, std::memory_order_relaxed);
+                } while (!inserted.load(std::memory_order_acquire));
+            });
+        hosts.emplace_back([&] {
             start.arrive_and_wait();
-            do {
-                Tag &got = p.ext().get<Tag>(key);
-                if (&got != own || got.id != i ||
-                    p.ext().find<Tag>(key) != own)
-                    wrong.fetch_add(1, std::memory_order_relaxed);
-            } while (!inserted.load(std::memory_order_acquire));
+            for (unsigned s = kReaders; s < kSlots; ++s) {
+                p.ext().get<Tag>(slot(s)).id = 1000 + static_cast<int>(s);
+                std::this_thread::yield();
+            }
+            inserted.store(true, std::memory_order_release);
         });
-    hosts.emplace_back([&] {
-        start.arrive_and_wait();
-        for (int n = 0; n < kInserts; ++n) {
-            p.ext().get<Tag>(insertKey(n)).id = 1000 + n;
-            std::this_thread::yield();
-        }
-        inserted.store(true, std::memory_order_release);
-    });
-    for (std::thread &h : hosts)
-        h.join();
+        for (std::thread &t : hosts)
+            t.join();
 
-    EXPECT_EQ(wrong.load(), 0u);
-    for (int n = 0; n < kInserts; ++n) {
-        Tag *tag = p.ext().find<Tag>(insertKey(n));
-        ASSERT_NE(tag, nullptr);
-        EXPECT_EQ(tag->id, 1000 + n);
+        EXPECT_EQ(wrong.load(), 0u) << "round " << round;
+        for (unsigned s = kReaders; s < kSlots; ++s)
+            EXPECT_EQ(p.ext().get<Tag>(slot(s)).id, 1000 + static_cast<int>(s))
+                << "round " << round << ", slot " << s;
+
+        // clear() drops every value: the next get() starts afresh.
+        p.ext().clear();
+        for (unsigned s = 0; s < kSlots; ++s)
+            EXPECT_EQ(p.ext().get<Tag>(slot(s)).id, -1) << "slot " << s;
     }
-
-    // clear() drops every value: a find misses, a get starts afresh.
-    p.ext().clear();
-    EXPECT_EQ(p.ext().find<Tag>(readerKey(0)), nullptr);
-    EXPECT_EQ(p.ext().find<Tag>(insertKey(0)), nullptr);
-    EXPECT_EQ(p.ext().get<Tag>(readerKey(0)).id, -1);
-    EXPECT_EQ(p.ext().get<Tag>(insertKey(0)).id, -1);
 }
 
 using PerCpuSmpDeathTest = ::testing::Test;
